@@ -13,6 +13,15 @@ where ds is the parameter measure of the affine chart (so no square
 roots enter the pairing, and polynomial integrands are integrated
 exactly by the Grundmann-Moller rules).  |V(p)| is the frame l2 norm;
 exact square roots are kept rational when possible.
+
+The frame change moves only the T coefficient of a vector, by an amount
+affine in p, and every blade holds T at most once; so each blade
+coefficient of V(p) is affine in p.  The tangent at a quadrature node
+with barycentric weights lambda is therefore sum_i lambda_i V(v_i),
+exactly: the k+1 vertex tangents are the only wedges computed per
+simplex.  A batch of forms is paired through a per-simplex moment table
+(see :func:`pair_forms_batch`), one pass over the nodes for the whole
+batch.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import Covector, MultiVector, all_blades, pair, wedge
+from .algebra import Covector, MultiVector, pair, wedge
 from .clipping import HalfSpace, split_simplex
 from .errors import (
     AdmissibilityError,
@@ -32,7 +42,7 @@ from .errors import (
 from .forms import PolyForm
 from .heis import HeisParams, Point, frame_change
 from .quadrature import parameter_nodes, rule_for_degree
-from .rumin import RuminClass, full_blades
+from .rumin import RuminClass, _ideal_matrix, full_blades
 
 DEFAULT_QUADRATURE_DEGREE = 5
 
@@ -130,6 +140,20 @@ class Simplex:
         if self.multiplicity != 0 and self.degenerate():
             raise ParameterError("affinely dependent vertices with nonzero multiplicity")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple, multiplicity) -> "Simplex":
+        """A simplex built without the checks, for internal constructions.
+
+        ``vertices`` must be a tuple of equal-length coordinate tuples
+        whose degeneracy the caller has decided already (a face, clip
+        piece, reordering or rescaling of a checked simplex), and
+        ``multiplicity`` a Fraction or float.
+        """
+        simplex = object.__new__(cls)
+        object.__setattr__(simplex, "vertices", vertices)
+        object.__setattr__(simplex, "multiplicity", multiplicity)
+        return simplex
+
     @property
     def degree(self) -> int:
         return len(self.vertices) - 1
@@ -176,7 +200,7 @@ class SimplicialCurrent:
 
     def scaled(self, factor) -> "SimplicialCurrent":
         return self.with_simplices(
-            Simplex(s.vertices, s.multiplicity * factor) for s in self.simplices
+            Simplex._trusted(s.vertices, s.multiplicity * factor) for s in self.simplices
         )
 
     def __add__(self, other: "SimplicialCurrent") -> "SimplicialCurrent":
@@ -206,7 +230,7 @@ class SimplicialCurrent:
             sign = _permutation_sign(order)
             key = tuple(s.vertices[i] for i in order)
             merged[key] = merged.get(key, 0) + sign * s.multiplicity
-        kept = [Simplex(v, m) for v, m in sorted(merged.items()) if m != 0]
+        kept = [Simplex._trusted(v, m) for v, m in sorted(merged.items()) if m != 0]
         return self.with_simplices(kept)
 
     def vertices(self) -> set:
@@ -271,22 +295,51 @@ def sqrt_exact_or_float(value):
     return math.sqrt(float(value))
 
 
-def _nodes(simplex: Simplex, degree_hint: int):
-    rule = rule_for_degree(simplex.degree, degree_hint)
-    return parameter_nodes(simplex.vertices, rule)
+def _vertex_tangents(params: HeisParams, simplex: Simplex) -> list:
+    """Blade coefficients of the tangent at each vertex, in vertex order."""
+    return [tangent_at(params, simplex, v).coeffs for v in simplex.vertices]
 
 
-def _constant_tangent(params: HeisParams, simplex: Simplex):
-    """The tangent when it is position-independent, else None.
+def _constant_tangent(vertex_tangents):
+    """The tangent coefficients when position-independent, else None.
 
-    Tangent blade coefficients are affine in the point, so agreeing on
-    every vertex forces agreement everywhere.
+    Takes the output of :func:`_vertex_tangents`.  Tangent blade
+    coefficients are affine in the point (the frame change moves only
+    the T coefficient, affinely, and a blade holds T at most once), so
+    agreeing on every vertex forces agreement everywhere.
     """
-    values = [tangent_at(params, simplex, v) for v in simplex.vertices]
-    first = values[0]
-    if all(v == first for v in values[1:]):
+    first = vertex_tangents[0]
+    if all(v == first for v in vertex_tangents[1:]):
         return first
     return None
+
+
+def _node_tangents(simplex: Simplex, vertex_tangents, degree: int) -> list:
+    """(coords, weight, tangent) at each node of the rule exact to ``degree``.
+
+    ``tangent`` maps blades to coefficients.  Blade coefficients are
+    affine in the point, so the node tangent is sum_i lambda_i V(v_i)
+    over the node's barycentric weights, equal to the wedge of the framed
+    edges there.
+    """
+    rule = rule_for_degree(simplex.degree, degree)
+    nodes = parameter_nodes(simplex.vertices, rule)
+    constant = _constant_tangent(vertex_tangents)
+    if constant is not None:
+        return [(coords, weight, constant) for coords, weight in nodes]
+    blades = dict.fromkeys(b for tangent in vertex_tangents for b in tangent)
+    out = []
+    for (barycentric, _), (coords, weight) in zip(rule, nodes):
+        tangent = {
+            b: sum(lam * v.get(b, 0) for lam, v in zip(barycentric, vertex_tangents))
+            for b in blades
+        }
+        out.append((coords, weight, tangent))
+    return out
+
+
+def _tangent_norm(tangent):
+    return sqrt_exact_or_float(sum(c * c for c in tangent.values()))
 
 
 def _parameter_volume(degree: int) -> Fraction:
@@ -302,7 +355,19 @@ def pair_form(T: SimplicialCurrent, omega: PolyForm):
 
 
 def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
-    """Pair several forms against one chain, sharing nodes and tangents.
+    """Pair several forms against one chain, in one pass per simplex.
+
+    Every form is a sum of terms c * p^e dw_B (a monomial p^e on a
+    coframe blade B).  Per simplex, the moment table
+
+        M[(B, e)] = sum_q w_q * p_q^e * V_B(p_q)
+
+    over the quadrature nodes p_q is accumulated once for the union of
+    (blade, exponent) pairs the batch uses, and each form's integral is
+    then sum c * M[(B, e)].  The rule and the node tangents are those of
+    the per-node evaluation <omega(p_q) | V(p_q)>, and exact rational
+    sums do not depend on their order, so the results are the same
+    Fractions.
 
     With the default hint the rule is exact for every polynomial
     integrand the forms produce; pass a smaller hint when only
@@ -315,19 +380,54 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
     if degree_hint is None:
         degree_hint = T.quadrature_degree + max(
             (f.max_coeff_degree() for f in forms), default=0)
+    terms = [
+        [(blade, expo, coef) for blade, poly in omega.coeffs.items()
+         for expo, coef in poly.terms.items()]
+        for omega in forms
+    ]
+    keys = {(blade, expo) for form_terms in terms for blade, expo, _ in form_terms}
+    exponents_of = {}
+    for blade, expo in keys:
+        exponents_of.setdefault(blade, []).append(expo)
+    exponents = {expo for _, expo in keys}
+    top = [max((e[axis] for e in exponents), default=0) for axis in range(T.params.dim)]
     totals = [0] * len(forms)
     for s in T.simplices:
-        constant = _constant_tangent(T.params, s)
-        node_data = []
-        for coords, weight in _nodes(s, degree_hint):
-            tangent = constant if constant is not None else tangent_at(T.params, s, coords)
-            node_data.append((Point.from_coords(coords), weight, tangent))
-        for index, omega in enumerate(forms):
-            acc = 0
-            for point, weight, tangent in node_data:
-                acc = acc + weight * pair(omega.evaluate_at(point), tangent)
-            totals[index] = totals[index] + s.multiplicity * acc
+        moments = dict.fromkeys(keys, 0)
+        for coords, weight, tangent in _node_tangents(
+                s, _vertex_tangents(T.params, s), degree_hint):
+            powers = []
+            for c, highest in zip(coords, top):
+                row = [1]
+                for _ in range(highest):
+                    row.append(row[-1] * c)
+                powers.append(row)
+            weighted = {}
+            for expo in exponents:
+                value = weight
+                for row, e in zip(powers, expo):
+                    if e:
+                        value = value * row[e]
+                weighted[expo] = value
+            for blade, v in tangent.items():
+                if not v or blade not in exponents_of:
+                    continue
+                for expo in exponents_of[blade]:
+                    moments[blade, expo] += weighted[expo] * v
+        for index, form_terms in enumerate(terms):
+            value = sum(coef * moments[blade, expo] for blade, expo, coef in form_terms)
+            totals[index] = totals[index] + s.multiplicity * value
     return totals
+
+
+@lru_cache(maxsize=None)
+def _contact_generators(n: int, k: int) -> tuple:
+    """The theta ^ blade and dtheta ^ blade generators of grade k."""
+    rows, _ = _ideal_matrix(n, k)
+    blades = full_blades(n, k)
+    return tuple(
+        Covector(2 * n + 1, k, dict(zip(blades, column))) for column in zip(*rows)
+    )
 
 
 def is_admissible(V: MultiVector, n: int) -> bool:
@@ -341,19 +441,7 @@ def is_admissible(V: MultiVector, n: int) -> bool:
         raise ParameterError(f"admissibility is defined for grades <= n, got {k}")
     if k == 0:
         return True
-    dim = 2 * n + 1
-    theta = Covector.blade(dim, (dim - 1,))
-    dtheta = Covector(dim, 2, {(j, n + j): Fraction(-1) for j in range(n)})
-    for blade in all_blades(dim, k - 1):
-        phi = wedge(theta, Covector.blade(dim, blade))
-        if phi.grade == k and pair(phi, V) != 0:
-            return False
-    if k >= 2:
-        for blade in all_blades(dim, k - 2):
-            phi = wedge(dtheta, Covector.blade(dim, blade))
-            if phi.grade == k and pair(phi, V) != 0:
-                return False
-    return True
+    return all(pair(phi, V) == 0 for phi in _contact_generators(n, k))
 
 
 def pair_current(T: SimplicialCurrent, c: RuminClass):
@@ -372,8 +460,8 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     if c.degree <= n:
         degree_hint = T.quadrature_degree + omega.max_coeff_degree()
         for index, s in enumerate(T.simplices):
-            for coords, _ in _nodes(s, degree_hint):
-                if not is_admissible(tangent_at(T.params, s, coords), n):
+            for _, _, tangent in _node_tangents(s, _vertex_tangents(T.params, s), degree_hint):
+                if not is_admissible(MultiVector(T.params.dim, c.degree, tangent), n):
                     raise AdmissibilityError(
                         f"simplex {index} has an inadmissible tangent; "
                         "pairing with a quotient class is undefined"
@@ -385,14 +473,14 @@ def mass(T: SimplicialCurrent):
     """M(T): total measure; exact Fraction when every root closes in Q."""
     total = Fraction(0)
     for s in T.simplices:
-        constant = _constant_tangent(T.params, s)
+        vertex_tangents = _vertex_tangents(T.params, s)
+        constant = _constant_tangent(vertex_tangents)
         if constant is not None:
-            acc = sqrt_exact_or_float(constant.norm_sq()) * _parameter_volume(s.degree)
+            acc = _tangent_norm(constant) * _parameter_volume(s.degree)
         else:
             acc = Fraction(0)
-            for coords, weight in _nodes(s, T.quadrature_degree):
-                tangent = tangent_at(T.params, s, coords)
-                acc = acc + weight * sqrt_exact_or_float(tangent.norm_sq())
+            for _, weight, tangent in _node_tangents(s, vertex_tangents, T.quadrature_degree):
+                acc = acc + weight * _tangent_norm(tangent)
         total = total + abs(s.multiplicity) * acc
     return total
 
@@ -413,7 +501,7 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
             kept, _ = split_simplex(s.vertices, hs)
             for piece in kept:
                 if not _is_degenerate(piece, T.degree):
-                    clipped.append(Simplex(piece, s.multiplicity))
+                    clipped.append(Simplex._trusted(piece, s.multiplicity))
         simplices = clipped
     return T.with_simplices(simplices)
 
@@ -427,12 +515,11 @@ def measure_of(T: SimplicialCurrent, region):
     if callable(region):
         total = Fraction(0)
         for s in T.simplices:
-            constant = _constant_tangent(T.params, s)
             acc = Fraction(0)
-            for coords, weight in _nodes(s, T.quadrature_degree):
+            for coords, weight, tangent in _node_tangents(
+                    s, _vertex_tangents(T.params, s), T.quadrature_degree):
                 if region(Point.from_coords(coords)):
-                    tangent = constant if constant is not None else tangent_at(T.params, s, coords)
-                    acc = acc + weight * sqrt_exact_or_float(tangent.norm_sq())
+                    acc = acc + weight * _tangent_norm(tangent)
             total = total + abs(s.multiplicity) * acc
         return total
     return mass(restrict_to_set(T, region))
@@ -450,7 +537,7 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
         for i in range(len(s.vertices)):
             face = s.vertices[:i] + s.vertices[i + 1:]
             mult = s.multiplicity if i % 2 == 0 else -s.multiplicity
-            faces.append(Simplex(face, mult))
+            faces.append(Simplex._trusted(face, mult))
     out = SimplicialCurrent(T.params, T.degree - 1, faces, T.quadrature_degree)
     return out.canonical()
 
@@ -503,9 +590,9 @@ class WeightedCurrent:
                     next_rest = []
                     for piece in rest:
                         kept, dropped = split_simplex(piece.vertices, hs)
-                        next_rest.extend(Simplex(p, piece.multiplicity) for p in kept
+                        next_rest.extend(Simplex._trusted(p, piece.multiplicity) for p in kept
                                          if not _is_degenerate(p, chain.degree))
-                        below.extend(Simplex(p, piece.multiplicity) for p in dropped
+                        below.extend(Simplex._trusted(p, piece.multiplicity) for p in dropped
                                      if not _is_degenerate(p, chain.degree))
                     rest = next_rest
                 pieces.extend(below + rest)
@@ -519,16 +606,17 @@ class WeightedCurrent:
         if omega.grade != self.chain.degree:
             raise GradeMismatchError(self.chain.degree, omega.grade, "(T|g)(omega)")
         degree_hint = self.chain.quadrature_degree + omega.max_coeff_degree()
+        params = self.chain.params
         total = 0
         for s in self.chain.simplices:
             acc = 0
-            for coords, weight_q in _nodes(s, degree_hint):
+            for coords, weight_q, tangent in _node_tangents(
+                    s, _vertex_tangents(params, s), degree_hint):
                 point = Point.from_coords(coords)
                 g_val = self.weight(point)
                 if g_val == 0:
                     continue
-                tangent = tangent_at(self.chain.params, s, coords)
-                value = pair(omega.evaluate_at(point), tangent)
+                value = pair(omega.evaluate_at(point), MultiVector(params.dim, s.degree, tangent))
                 acc = acc + weight_q * g_val * value
             total = total + s.multiplicity * acc
         return total

@@ -394,6 +394,10 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     def requested(index):
         return wanted is None or index in wanted
 
+    if not middle and (requested(4) or requested(5)):
+        # P4 and P5 need the closed-form constant: refuse before slicing
+        f.lipschitz_constant()
+
     entries = []
 
     if requested(0):

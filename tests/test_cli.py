@@ -131,6 +131,22 @@ class TestReportCommand:
                      "--levels", "3", "--properties", "4,5"])
         assert code == 2
 
+    def test_vertical_f_exits_2_before_slicing(self, capsys):
+        code = main(["report", "--chain", CUBE, "--f", "t", "--levels", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: closed-form Lipschitz constant needs a horizontal-affine f" in captured.err
+
+    def test_vertical_f_reports_without_mass_bounds(self, capsys):
+        code = main(["report", "--chain", CUBE, "--f", "t", "--levels", "3",
+                     "--properties", "0,1,2,3,6"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for key in ("P0", "P1", "P2", "P3", "P6"):
+            assert f"{key} PASS" in out
+        assert "P4" not in out and "P5" not in out
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["report", "--chain", SQUARE, "--f", "x1", "--frobnicate"])

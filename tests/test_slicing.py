@@ -12,6 +12,7 @@ from ruminslice import (
     GammaWeight,
     HeisParams,
     MiddleDimensionError,
+    ParameterError,
     Point,
     Simplex,
     SimplicialCurrent,
@@ -23,6 +24,7 @@ from ruminslice import (
     slice_minus,
     slice_plus,
 )
+from ruminslice import slicing
 from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.slicing import (
     AffineFunction,
@@ -285,6 +287,17 @@ class TestPropertyReport:
             property_report(square, fx_h1(), [F(1, 3)], properties={4})
         with pytest.raises(MiddleDimensionError):
             property_report(square, fx_h1(), [F(1, 3)], properties={5})
+
+    def test_vertical_f_refused_before_slicing(self, monkeypatch):
+        # P4/P5 need a horizontal-affine f; the refusal comes before P0-P3
+        sliced = []
+        monkeypatch.setattr(slicing, "_slice", lambda *args, **kwargs: sliced.append(args))
+        f_t = AffineFunction((F(0), F(0), F(1)))
+        with pytest.raises(ParameterError, match="horizontal-affine"):
+            property_report(unit_cube_chain(), f_t, [F(1, 3)])
+        with pytest.raises(ParameterError, match="horizontal-affine"):
+            property_report(unit_cube_chain(), f_t, [F(1, 3)], properties={1, 5})
+        assert sliced == []
 
     def test_random_chains_fuzz(self):
         # random chains, functions, multiplicities: the defining-formula
