@@ -7,6 +7,12 @@ edge is always the one whose (sorted) endpoint pair is lexicographically
 smallest, which makes the induced subdivision of any shared face
 identical on both sides; combinatorial boundary cancellation therefore
 survives clipping.
+
+The value a . p - c of each input vertex is computed once (or passed in
+by a caller that already has it) and carried down the recursion; a cut
+point's value is exactly 0.  :meth:`HalfSpace.sides` is the one rule
+that turns values into sides, for the split and for callers that
+classify whole simplices before clipping.
 """
 
 from __future__ import annotations
@@ -41,6 +47,27 @@ class HalfSpace:
     def value(self, coords):
         return sum(a * b for a, b in zip(self.coeffs, coords)) - self.const
 
+    def sides(self, values) -> tuple:
+        """Side of the hyperplane for each value of :meth:`value`: 1, -1 or 0.
+
+        Exact values are on the plane only at 0; float values within
+        :meth:`float_tolerance` of 0 are on it.
+        """
+        tol = None
+        out = []
+        for v in values:
+            if isinstance(v, float):
+                if tol is None:
+                    tol = self.float_tolerance()
+                if abs(v) <= tol:
+                    out.append(0)
+                    continue
+            elif v == 0:
+                out.append(0)
+                continue
+            out.append(1 if v > 0 else -1)
+        return tuple(out)
+
     def float_tolerance(self) -> float:
         """On-plane tolerance for float vertices; depends only on the
         half-space so adjacent simplices classify shared edges alike."""
@@ -72,29 +99,24 @@ def _cut_point(a, b, va, vb):
     return tuple(x + lam * (y - x) for x, y in zip(a, b))
 
 
-def split_simplex(vertices, halfspace: HalfSpace):
+def split_simplex(vertices, halfspace: HalfSpace, values=None):
     """Split one simplex along the hyperplane of ``halfspace``.
 
     Returns (kept, dropped): lists of vertex tuples lying in the closed
     half-space and its closed complement.  Pieces entirely inside the
-    hyperplane go to ``kept`` iff the half-space is closed.
+    hyperplane go to ``kept`` iff the half-space is closed.  ``values``
+    are the vertices' :meth:`HalfSpace.value`, when the caller has them.
     """
-    want_positive = halfspace.keeps_positive()
-    tol = halfspace.float_tolerance()
-    kept, dropped = [], []
-    stack = [tuple(vertices)]
-    while stack:
-        simplex = stack.pop()
+    simplex = tuple(vertices)
+    if values is None:
         values = [halfspace.value(v) for v in simplex]
-        # interpolated cut points carry float noise; a cut vertex must
-        # classify as on-plane or the recursion never terminates
-        signs = [
-            (0 if abs(v) <= tol else (1 if v > 0 else -1)) if isinstance(v, float)
-            else (0 if v == 0 else (1 if v > 0 else -1))
-            for v in values
-        ]
-        has_pos = any(s > 0 for s in signs)
-        has_neg = any(s < 0 for s in signs)
+    want_positive = halfspace.keeps_positive()
+    kept, dropped = [], []
+    stack = [(simplex, tuple(values), halfspace.sides(values))]
+    while stack:
+        simplex, values, signs = stack.pop()
+        has_pos = 1 in signs
+        has_neg = -1 in signs
         if not (has_pos and has_neg):
             on_plane = not has_pos and not has_neg
             inside = has_pos if want_positive else has_neg
@@ -113,10 +135,14 @@ def split_simplex(vertices, halfspace: HalfSpace):
         ]
         i, j = min(crossing, key=lambda e: _edge_key(simplex[e[0]], simplex[e[1]]))
         cut = _cut_point(simplex[i], simplex[j], values[i], values[j])
-        left = list(simplex)
-        left[i] = cut
-        right = list(simplex)
-        right[j] = cut
-        stack.append(tuple(left))
-        stack.append(tuple(right))
+        # the cut lies on the plane: value 0 and side 0, never recomputed
+        # (a float recomputation could leave the tolerance and recurse forever)
+        for index in (i, j):
+            piece = list(simplex)
+            piece[index] = cut
+            piece_values = list(values)
+            piece_values[index] = 0
+            piece_signs = list(signs)
+            piece_signs[index] = 0
+            stack.append((tuple(piece), tuple(piece_values), tuple(piece_signs)))
     return kept, dropped

@@ -22,6 +22,16 @@ exactly: the k+1 vertex tangents are the only wedges computed per
 simplex.  A batch of forms is paired through a per-simplex moment table
 (see :func:`pair_forms_batch`), one pass over the nodes for the whole
 batch.
+
+A clip piece lies in its parent's affine k-plane, so its edges are the
+parent's edges times a k x k matrix A and V_piece(p) = det(A) V_parent(p);
+det(A) is the ratio of one nonvanishing coordinate k x k minor of the
+piece's edges to the same minor of the parent's.  Restriction and the
+measure of half-space regions therefore wedge nothing per piece: the
+piece's vertex tangents are det(A) times the parent's tangent field,
+interpolated at the piece's vertices.  An exact cut point lies strictly
+inside its edge, so det(A) never vanishes on exact chains; float pieces
+keep a tolerance test for degenerate slivers.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .algebra import Covector, MultiVector, pair, wedge
 from .clipping import HalfSpace, split_simplex
@@ -68,6 +79,20 @@ def _is_degenerate(vertices, degree: int) -> bool:
     scaled = [tuple(int(c * denom) for c in e) for e in edges]
     gram = [[sum(x * y for x, y in zip(u, w)) for w in scaled] for u in scaled]
     return _int_det(gram) == 0
+
+
+def _has_float(vertices) -> bool:
+    return any(isinstance(c, float) for v in vertices for c in v)
+
+
+def _is_sliver(piece, degree: int) -> bool:
+    """True for a degenerate clip piece.
+
+    An exact cut point lies strictly inside its edge, so an exact piece
+    spans its parent's k-plane; only float pieces can be slivers, by the
+    tolerance of :func:`_is_degenerate`.
+    """
+    return _has_float(piece) and _is_degenerate(piece, degree)
 
 
 def _int_det(matrix) -> int:
@@ -224,7 +249,10 @@ class SimplicialCurrent:
         """
         merged = {}
         for s in self.simplices:
-            if s.degenerate():
+            # exact simplices are never degenerate: the public constructor
+            # refuses them, and faces, clip pieces and reorderings of a
+            # nondegenerate exact simplex stay nondegenerate
+            if _has_float(s.vertices) and s.degenerate():
                 continue
             order = sorted(range(len(s.vertices)), key=lambda i: tuple(s.vertices[i]))
             sign = _permutation_sign(order)
@@ -469,19 +497,174 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     return pair_form(T, omega)
 
 
+def _simplex_mass(simplex: Simplex, vertex_tangents, quadrature_degree: int):
+    """int_S |V(p)| ds for one simplex, from its vertex tangents."""
+    constant = _constant_tangent(vertex_tangents)
+    if constant is not None:
+        return _tangent_norm(constant) * _parameter_volume(simplex.degree)
+    acc = Fraction(0)
+    for _, weight, tangent in _node_tangents(simplex, vertex_tangents, quadrature_degree):
+        acc = acc + weight * _tangent_norm(tangent)
+    return acc
+
+
 def mass(T: SimplicialCurrent):
     """M(T): total measure; exact Fraction when every root closes in Q."""
     total = Fraction(0)
     for s in T.simplices:
-        vertex_tangents = _vertex_tangents(T.params, s)
-        constant = _constant_tangent(vertex_tangents)
-        if constant is not None:
-            acc = _tangent_norm(constant) * _parameter_volume(s.degree)
-        else:
-            acc = Fraction(0)
-            for _, weight, tangent in _node_tangents(s, vertex_tangents, T.quadrature_degree):
-                acc = acc + weight * _tangent_norm(tangent)
+        acc = _simplex_mass(s, _vertex_tangents(T.params, s), T.quadrature_degree)
         total = total + abs(s.multiplicity) * acc
+    return total
+
+
+# -- clipping with inherited tangents -----------------------------------------
+
+
+def _det(rows):
+    """Determinant of a small square matrix of Fractions or floats."""
+    size = len(rows)
+    if size == 0:
+        return Fraction(1)
+    if size == 1:
+        return rows[0][0]
+    if size == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum((-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(size) if rows[0][j] != 0)
+
+
+def _minor(vertices, rows):
+    """The coordinate minor on axes ``rows`` of the edges from vertex 0."""
+    base = vertices[0]
+    return _det([[v[axis] - base[axis] for v in vertices[1:]] for axis in rows])
+
+
+class _Parent:
+    """What the clip pieces of one simplex inherit from it.
+
+    ``rows`` are k coordinate axes on which the edges have a nonzero
+    minor ``minor`` (the first such axes on exact chains, the largest
+    minor on float chains).  The vertex tangents and the whole mass are
+    computed on first use.
+    """
+
+    __slots__ = ("params", "simplex", "rows", "minor", "_tangents", "_mass")
+
+    def __init__(self, params: HeisParams, simplex: Simplex):
+        self.params = params
+        self.simplex = simplex
+        vertices = simplex.vertices
+        exact = not _has_float(vertices)
+        self.rows, self.minor = None, 0
+        for rows in combinations(range(len(vertices[0])), simplex.degree):
+            minor = _minor(vertices, rows)
+            if exact and minor != 0:
+                self.rows, self.minor = rows, minor
+                break
+            if not exact and abs(minor) > abs(self.minor):
+                self.rows, self.minor = rows, minor
+        self._tangents = None
+        self._mass = None
+
+    def tangents(self) -> list:
+        if self._tangents is None:
+            self._tangents = _vertex_tangents(self.params, self.simplex)
+        return self._tangents
+
+    def mass(self, quadrature_degree: int):
+        if self._mass is None:
+            self._mass = _simplex_mass(self.simplex, self.tangents(), quadrature_degree)
+        return self._mass
+
+    def ratio(self, piece):
+        """det(A) of a piece lying in this simplex's k-plane."""
+        return _minor(piece, self.rows) / self.minor
+
+    def piece_tangents(self, piece, ratio) -> list:
+        """ratio * V_parent at each vertex of the piece, interpolated."""
+        tangents = self.tangents()
+        constant = _constant_tangent(tangents)
+        if constant is not None:
+            scaled = {b: ratio * c for b, c in constant.items()}
+            return [scaled] * len(piece)
+        blades = dict.fromkeys(b for tangent in tangents for b in tangent)
+        vertices = self.simplex.vertices
+        origin = vertices[0]
+        columns = [[v[axis] - origin[axis] for v in vertices[1:]] for axis in self.rows]
+        out = []
+        for w in piece:
+            offset = [w[axis] - origin[axis] for axis in self.rows]
+            # barycentric coordinates of w by Cramer's rule on the minor
+            mu = [_det([row[:j] + [o] + row[j + 1:] for row, o in zip(columns, offset)])
+                  / self.minor for j in range(self.simplex.degree)]
+            lam = [1 - sum(mu)] + mu
+            tangent = {}
+            for b in blades:
+                c = ratio * sum(l * v.get(b, 0) for l, v in zip(lam, tangents))
+                if c != 0:
+                    tangent[b] = c
+            out.append(tangent)
+        return out
+
+
+def _clip_pieces(vertices, halfspaces, values=None) -> list:
+    """The pieces of one simplex kept by every half-space, in clip order.
+
+    ``values`` holds, per half-space, a mapping from vertex to
+    :meth:`HalfSpace.value`; vertices it lacks (cut points) are
+    evaluated.  Slivers (:func:`_is_sliver`) are dropped after each cut.
+    """
+    degree = len(vertices) - 1
+    pieces = [vertices]
+    for index, hs in enumerate(halfspaces):
+        table = values[index] if values is not None else None
+        clipped = []
+        for piece in pieces:
+            known = None
+            if table is not None:
+                known = [table[v] if v in table else hs.value(v) for v in piece]
+            kept, _ = split_simplex(piece, hs, known)
+            clipped.extend(p for p in kept if p is piece or not _is_sliver(p, degree))
+        pieces = clipped
+    return pieces
+
+
+def _halfspace_list(halfspaces) -> list:
+    return [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
+
+
+def _clipped_measure(T: SimplicialCurrent, halfspaces, values=None, parents=None):
+    """mu_T of an intersection of half-spaces: M(restrict_to_set(T, halfspaces)).
+
+    A simplex that no plane cuts contributes its whole mass or nothing;
+    a piece of a cut simplex has the tangent det(A) V_parent (see
+    :class:`_Parent`), so no wedge is computed per piece.  ``values`` is
+    as for :func:`_clip_pieces`; ``parents`` maps simplex indices to the
+    :class:`_Parent` records shared by the calls of one sweep.
+    """
+    halfspaces = _halfspace_list(halfspaces)
+    if parents is None:
+        parents = {}
+    total = Fraction(0)
+    for index, s in enumerate(T.simplices):
+        pieces = _clip_pieces(s.vertices, halfspaces, values)
+        if not pieces:
+            continue
+        parent = parents.get(index)
+        if parent is None:
+            parent = parents[index] = _Parent(T.params, s)
+        weight = abs(s.multiplicity)
+        if len(pieces) == 1 and pieces[0] == s.vertices:
+            total = total + weight * parent.mass(T.quadrature_degree)
+            continue
+        for piece in pieces:
+            tangents = parent.piece_tangents(piece, parent.ratio(piece))
+            acc = _simplex_mass(Simplex._trusted(piece, s.multiplicity), tangents,
+                                T.quadrature_degree)
+            total = total + weight * acc
     return total
 
 
@@ -492,18 +675,12 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     pieces inherit multiplicity and orientation.  Degenerate slivers are
     dropped (they carry no measure).
     """
-    if isinstance(halfspaces, HalfSpace):
-        halfspaces = [halfspaces]
-    simplices = list(T.simplices)
-    for hs in halfspaces:
-        clipped = []
-        for s in simplices:
-            kept, _ = split_simplex(s.vertices, hs)
-            for piece in kept:
-                if not _is_degenerate(piece, T.degree):
-                    clipped.append(Simplex._trusted(piece, s.multiplicity))
-        simplices = clipped
-    return T.with_simplices(simplices)
+    halfspaces = _halfspace_list(halfspaces)
+    clipped = []
+    for s in T.simplices:
+        clipped.extend(Simplex._trusted(piece, s.multiplicity)
+                       for piece in _clip_pieces(s.vertices, halfspaces))
+    return T.with_simplices(clipped)
 
 
 def measure_of(T: SimplicialCurrent, region):
@@ -522,7 +699,7 @@ def measure_of(T: SimplicialCurrent, region):
                     acc = acc + weight * _tangent_norm(tangent)
             total = total + abs(s.multiplicity) * acc
         return total
-    return mass(restrict_to_set(T, region))
+    return _clipped_measure(T, region)
 
 
 def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -591,9 +768,9 @@ class WeightedCurrent:
                     for piece in rest:
                         kept, dropped = split_simplex(piece.vertices, hs)
                         next_rest.extend(Simplex._trusted(p, piece.multiplicity) for p in kept
-                                         if not _is_degenerate(p, chain.degree))
+                                         if not _is_sliver(p, chain.degree))
                         below.extend(Simplex._trusted(p, piece.multiplicity) for p in dropped
-                                     if not _is_degenerate(p, chain.degree))
+                                     if not _is_sliver(p, chain.degree))
                     rest = next_rest
                 pieces.extend(below + rest)
             chain = chain.with_simplices(pieces)

@@ -11,6 +11,14 @@ combinatorially and the result is carried by {f = t}.  Levels hitting a
 vertex raise :class:`DegenerateLevelError` rather than being perturbed
 silently.
 
+A simplex whose vertices all lie strictly on one side of the level
+contributes the same faces to both terms, so the formula is applied to
+the sub-chain of simplices the level crosses or touches (a float vertex
+within the half-space tolerance counts as touching): a slice costs in
+the simplices it cuts, not in the size of T.  f is evaluated once per
+vertex of T, and a coarea sweep shares those values and each simplex's
+tangent record (see :mod:`ruminslice.currents`) across all its levels.
+
 Mass bounds and the coarea sweep require the slice dimension k to differ
 from n; requests at k = n raise :class:`MiddleDimensionError`.
 """
@@ -26,6 +34,7 @@ from . import linalg
 from .clipping import HalfSpace
 from .currents import (
     SimplicialCurrent,
+    _clipped_measure,
     boundary,
     constant_blade_forms,
     mass,
@@ -138,13 +147,27 @@ class SliceResult:
     middle_dimension: bool
 
 
-def _check_generic_level(T: SimplicialCurrent, f: AffineFunction, t):
-    for v in sorted(T.vertices()):
-        if f(v) == t:
+def _level_table(T: SimplicialCurrent, f: AffineFunction) -> dict:
+    """coeffs . v for every vertex of T, in sorted vertex order.
+
+    A level's half-space value at v is this minus the half-space
+    constant, the same arithmetic as :meth:`HalfSpace.value`; f(v) is
+    this plus f.const.
+    """
+    return {v: sum(a * b for a, b in zip(f.coeffs, v)) for v in sorted(T.vertices())}
+
+
+def _check_generic_level(table: dict, f: AffineFunction, t):
+    for v, dot in table.items():
+        if dot + f.const == t:
             shown = "(" + ", ".join(str(c) for c in v) + ")"
             raise DegenerateLevelError(
                 f"level {t} hits the vertex {shown}; slice at a nearby generic level instead"
             )
+
+
+def _halfspace_values(table: dict, hs: HalfSpace) -> dict:
+    return {v: dot - hs.const for v, dot in table.items()}
 
 
 def _residual_battery(params, grade, seed=20902):
@@ -156,15 +179,24 @@ def _residual_battery(params, grade, seed=20902):
 
 
 def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
-           certify: bool = True) -> SliceResult:
+           certify: bool = True, table=None) -> SliceResult:
     if T.degree < 1:
         raise ParameterError("cannot slice a 0-chain")
-    _check_generic_level(T, f, t)
+    if table is None:
+        table = _level_table(T, f)
+    _check_generic_level(table, f, t)
     plus = side == "+"
     hs = f.halfspace(t, ">" if plus else "<")
-    bdry = boundary(T)
-    restricted_boundary = restrict_to_set(bdry, [hs])
-    boundary_of_restricted = boundary(restrict_to_set(T, [hs]))
+    values = _halfspace_values(table, hs)
+    crossing = []
+    for s in T.simplices:
+        sides = hs.sides([values[v] for v in s.vertices])
+        # not all strictly on one side: the level crosses or touches s
+        if min(sides) < 1 and max(sides) > -1:
+            crossing.append(s)
+    cut = T.with_simplices(crossing)
+    restricted_boundary = restrict_to_set(boundary(cut), [hs])
+    boundary_of_restricted = boundary(restrict_to_set(cut, [hs]))
     if plus:
         formal = restricted_boundary - boundary_of_restricted
     else:
@@ -209,12 +241,21 @@ def slice_minus(T: SimplicialCurrent, f: AffineFunction, t,
 
 
 def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
-    """mu_T({t < f < t + h}), by exact clipping."""
+    """mu_T({t < f < t + h}), by exact clipping; h > 0."""
+    if not h > 0:
+        raise ParameterError(f"band width must be positive, got {h}")
     return measure_between(T, f, t, t + h)
 
 
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
-    return mass(restrict_to_set(T, [f.halfspace(lo, ">"), f.halfspace(hi, "<")]))
+    """mu_T({lo < f < hi}), by exact clipping."""
+    return _measure_between(T, f, lo, hi, _level_table(T, f), {})
+
+
+def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, parents):
+    halfspaces = [f.halfspace(lo, ">"), f.halfspace(hi, "<")]
+    values = [_halfspace_values(table, hs) for hs in halfspaces]
+    return _clipped_measure(T, halfspaces, values, parents)
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
@@ -284,6 +325,10 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     exact = not any(isinstance(v, float) for v in (a, b))
     width = (Fraction(b) - Fraction(a)) / grid if exact else (b - a) / grid
     lip = f.lipschitz_constant()
+    # f at the vertices and the tangent records of the simplices, shared
+    # by every slice and cell of this sweep
+    table = _level_table(T, f)
+    parents = {}
     rows = []
     masses = []
     for i in range(grid):
@@ -291,9 +336,9 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
             t = Fraction(a) + width * Fraction(2 * i + 1, 2)
         else:
             t = a + width * (2 * i + 1) / 2.0
-        m_slice = slice_plus(T, f, t, certify=False).mass
+        m_slice = _slice(T, f, t, "+", certify=False, table=table).mass
         lo = t - width / 2
-        cell = measure_between(T, f, lo, lo + width)
+        cell = _measure_between(T, f, lo, lo + width, table, parents)
         bound = lip * cell / width
         ratio = float(m_slice) / float(bound) if float(bound) != 0 else (
             0.0 if float(m_slice) == 0 else math.inf
@@ -305,7 +350,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     for left, right in zip(masses, masses[1:]):
         integral = integral + (left + right) * width / 2
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
-    denominator = lip * measure_between(T, f, a, b)
+    denominator = lip * _measure_between(T, f, a, b, table, parents)
     ratio = float(integral) / float(denominator) if float(denominator) != 0 else (
         0.0 if float(integral) == 0 else math.inf
     )
@@ -497,15 +542,3 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
             f"M(slice)={m_slice:.6g}, M(boundary slice)={m_bdry:.6g}, both finite"))
 
     return PropertyReport(tuple(entries))
-
-
-def functional_mass_lower(functional, params, grade, extra_forms=()):
-    """Lower estimate of the mass of a functional on grade-k forms.
-
-    Maximizes |functional| over the coordinate blade forms (comass
-    exactly 1) and any supplied extra forms (assumed comass <= 1).
-    """
-    best = 0.0
-    for omega in list(constant_blade_forms(params, grade)) + list(extra_forms):
-        best = max(best, abs(float(functional(omega))))
-    return best

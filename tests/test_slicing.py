@@ -28,14 +28,27 @@ from ruminslice import slicing
 from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.slicing import (
     AffineFunction,
+    band_bound,
     band_measure,
     band_trend,
     coarea_sweep,
-    functional_mass_lower,
     property_report,
 )
+from ruminslice.currents import constant_blade_forms
 
 F = Fraction
+
+
+def functional_mass_lower(functional, params, grade, extra_forms=()):
+    """Lower estimate of the mass of a functional on grade-k forms.
+
+    Maximizes |functional| over the coordinate blade forms (comass
+    exactly 1) and any supplied extra forms (assumed comass <= 1).
+    """
+    best = 0.0
+    for omega in list(constant_blade_forms(params, grade)) + list(extra_forms):
+        best = max(best, abs(float(functional(omega))))
+    return best
 
 
 def fx_h1():
@@ -185,6 +198,18 @@ class TestBands:
     def test_band_measure_exact(self):
         cube = unit_cube_chain()
         assert band_measure(cube, fx_h1(), F(1, 4), F(1, 8)) == F(1, 8)
+
+    @pytest.mark.parametrize("h", [F(0), F(-1, 4), -0.5])
+    def test_nonpositive_band_width_rejected(self, h):
+        cube = unit_cube_chain()
+        message = f"band width must be positive, got {h}"
+        with pytest.raises(ParameterError) as caught:
+            band_measure(cube, fx_h1(), F(1, 4), h)
+        assert str(caught.value) == message
+        with pytest.raises(ParameterError, match="band width must be positive"):
+            band_bound(cube, fx_h1(), F(1, 4), h)
+        with pytest.raises(ParameterError, match="band width must be positive"):
+            band_trend(cube, fx_h1(), F(1, 3), [F(1, 4), h])
 
     def test_band_trend_cube(self):
         cube = unit_cube_chain()
