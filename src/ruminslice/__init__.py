@@ -53,7 +53,14 @@ from .errors import (
     MiddleDimensionError,
     ParameterError,
 )
-from .forms import PolyForm, derive_W, exterior_d, horizontal_gradient, wedge_forms
+from .forms import (
+    PolyForm,
+    derive_W,
+    exterior_d,
+    gradient_at,
+    horizontal_gradient,
+    wedge_forms,
+)
 from .formio import (
     chain_from_dict,
     chain_to_dict,

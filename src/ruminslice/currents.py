@@ -508,13 +508,51 @@ def _simplex_mass(simplex: Simplex, vertex_tangents, quadrature_degree: int):
     return acc
 
 
-def mass(T: SimplicialCurrent):
-    """M(T): total measure; exact Fraction when every root closes in Q."""
+def _chain_tangents(T: SimplicialCurrent) -> list:
+    """:func:`_vertex_tangents` of every simplex of T, in simplex order."""
+    return [_vertex_tangents(T.params, s) for s in T.simplices]
+
+
+def _mass(T: SimplicialCurrent, tangents):
+    """M(T) from the output of :func:`_chain_tangents`."""
     total = Fraction(0)
-    for s in T.simplices:
-        acc = _simplex_mass(s, _vertex_tangents(T.params, s), T.quadrature_degree)
+    for s, vertex_tangents in zip(T.simplices, tangents):
+        acc = _simplex_mass(s, vertex_tangents, T.quadrature_degree)
         total = total + abs(s.multiplicity) * acc
     return total
+
+
+def mass(T: SimplicialCurrent):
+    """M(T): total measure; exact Fraction when every root closes in Q."""
+    return _mass(T, _chain_tangents(T))
+
+
+def _blade_pairings(T: SimplicialCurrent, tangents=None) -> dict:
+    """T(dw_B) for the constant blade forms dw_B, keyed by blade B.
+
+    V_B is affine in the point, so int_S V_B ds = V_B(centroid) / k!,
+    exactly.  With ``tangents`` (from :func:`_chain_tangents`) the
+    centroid tangent is the mean of the vertex tangents; without, it is
+    one :func:`tangent_at` at the centroid.  Blades absent from the
+    result pair to zero.
+    """
+    corners = T.degree + 1
+    volume = _parameter_volume(T.degree)
+    totals = {}
+    for index, s in enumerate(T.simplices):
+        if tangents is None:
+            centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
+            at_centroid = tangent_at(T.params, s, centroid).coeffs
+            weight = s.multiplicity * volume
+        else:
+            at_centroid = {}
+            for tangent in tangents[index]:
+                for b, c in tangent.items():
+                    at_centroid[b] = at_centroid.get(b, 0) + c
+            weight = s.multiplicity * volume / corners
+        for b, c in at_centroid.items():
+            totals[b] = totals.get(b, 0) + weight * c
+    return totals
 
 
 # -- clipping with inherited tangents -----------------------------------------

@@ -297,8 +297,12 @@ def print_form(form: PolyForm) -> str:
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if _is_json_int(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
         raise ChainFormatError(f"non-rational literal {text!r}; use strings like \"p/q\"")
@@ -329,6 +333,15 @@ def chain_to_dict(T: SimplicialCurrent) -> dict:
 
 
 def chain_from_dict(data: dict) -> SimplicialCurrent:
+    """The chain a parsed chain file describes.
+
+    Anything that is not a well-formed "rumin-slice/1" object raises
+    :class:`ChainFormatError`: wrong JSON types (a top-level list, a
+    simplex entry or vertex row that is not an object or list, a boolean
+    index) included.
+    """
+    if not isinstance(data, dict):
+        raise ChainFormatError(f"a chain file holds a JSON object, got {type(data).__name__}")
     version = data.get("version")
     if version != CHAIN_VERSION:
         raise ChainFormatError(
@@ -340,20 +353,28 @@ def chain_from_dict(data: dict) -> SimplicialCurrent:
         raw_simplices = data["simplices"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ChainFormatError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(raw_vertices, list) or not isinstance(raw_simplices, list):
+        raise ChainFormatError("'vertices' and 'simplices' must be lists")
     params = HeisParams(n)
     vertices = []
     for row in raw_vertices:
+        if not isinstance(row, list):
+            raise ChainFormatError(f"vertex {row!r} is not a list of coordinates")
         if len(row) != params.dim:
             raise ChainFormatError(
                 f"vertex of length {len(row)}; expected {params.dim} coordinates")
         vertices.append(tuple(_parse_rational(c) for c in row))
     simplices = []
     for entry in raw_simplices:
+        if not isinstance(entry, dict):
+            raise ChainFormatError(f"simplex entry {entry!r} is not an object")
         indices = entry.get("vertices")
         if not isinstance(indices, list) or len(indices) != degree + 1:
             raise ChainFormatError(f"simplex needs {degree + 1} vertex indices")
         for i in indices:
-            if not isinstance(i, int) or not 0 <= i < len(vertices):
+            if not _is_json_int(i):
+                raise ChainFormatError(f"vertex index {i!r} is not an integer")
+            if not 0 <= i < len(vertices):
                 raise ChainFormatError(
                     f"vertex index {i} out of range 0..{len(vertices) - 1}")
         multiplicity = _parse_rational(entry.get("multiplicity", "1"))
@@ -361,7 +382,7 @@ def chain_from_dict(data: dict) -> SimplicialCurrent:
             raise ChainFormatError("zero multiplicity is not allowed in chain files")
         simplices.append(Simplex(tuple(vertices[i] for i in indices), multiplicity))
     order = data.get("quadrature_order", DEFAULT_QUADRATURE_DEGREE)
-    if not isinstance(order, int) or order < 1:
+    if not _is_json_int(order) or order < 1:
         raise ChainFormatError(f"quadrature_order must be a positive integer, got {order!r}")
     return SimplicialCurrent(params, degree, simplices, quadrature_degree=order)
 
@@ -370,7 +391,7 @@ def load_chain(path) -> SimplicialCurrent:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ChainFormatError(f"invalid JSON: {exc}") from exc
     return chain_from_dict(data)
 

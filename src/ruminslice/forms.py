@@ -251,7 +251,12 @@ def horizontal_gradient(params: HeisParams, f: Poly) -> tuple:
 
 
 def gradient_at(params: HeisParams, grad: tuple, p: Point):
-    """Evaluate a horizontal gradient coefficient tuple at a point."""
+    """The horizontal gradient at a point, as a grade-1 MultiVector.
+
+    ``grad`` is the output of :func:`horizontal_gradient`; the result has
+    coefficient W_j f(p) on the basis vector of index j (X_1..X_n, then
+    Y_1..Y_n).  Public API.
+    """
     from .algebra import MultiVector
 
     coords = p.coords()

@@ -128,26 +128,3 @@ def nullspace(rows, ncols):
         basis.append(vec)
     return basis
 
-
-def rank(rows):
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    work = [list(r) for r in _as_fraction_rows(rows)]
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return r

@@ -72,7 +72,14 @@ def parameter_nodes(vertices, rule):
 
 
 def integrate_parametric(vertices, rule, integrand):
-    """Apply the rule to ``integrand`` over the simplex chart."""
+    """sum_q w_q F(p_q): the parametric integral of F over a simplex.
+
+    ``vertices`` are the simplex's vertex coordinate tuples, ``rule`` a
+    Grundmann-Moller rule on the simplex of that degree (see
+    :func:`rule_for_degree`) and ``integrand`` the function F of a
+    coordinate tuple.  The result is exact when F is a polynomial of total degree
+    at most the rule's and the inputs are rational.  Public API.
+    """
     total = 0
     for coords, weight in parameter_nodes(vertices, rule):
         total = total + weight * integrand(coords)

@@ -76,6 +76,29 @@ class TestSliceCommand:
     def test_bad_expression_exits_2(self, capsys):
         assert main(["slice", "--chain", CUBE, "--f", "dq9", "--t", "1/2"]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        "[]",
+        '{"version": "rumin-slice/1", "n": 1, "degree": 1,'
+        ' "vertices": [["0", "0", "0"], ["1", "0", "0"]], "simplices": [[0, 1]]}',
+        '{"version": "rumin-slice/1", "n": 1, "degree": 1,'
+        ' "vertices": [5, ["1", "0", "0"]], "simplices": [{"vertices": [0, 1]}]}',
+        '{"version": "rumin-slice/1", "n": 1, "degree": 1,'
+        ' "vertices": [["0", "0", "0"], ["1", "0", "0"]],'
+        ' "simplices": [{"vertices": [false, true]}]}',
+    ], ids=["top-level list", "simplex entry is a list", "vertex row is a number",
+            "boolean vertex index"])
+    def test_malformed_chain_file_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        for argv in (["slice", "--chain", str(path), "--f", "x1", "--t", "1/2"],
+                     ["report", "--chain", str(path), "--f", "x1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+            assert "Traceback" not in captured.err
+
 
 class TestCoareaCommand:
     def test_cube_sweep(self, capsys, tmp_path):

@@ -208,6 +208,43 @@ class TestChainFiles:
         with pytest.raises(ChainFormatError, match="non-rational"):
             chain_from_dict(data)
 
+    @pytest.mark.parametrize("fault", [
+        "top-level list", "simplex entry is a list", "vertex row is a number",
+        "vertex row is a string", "boolean vertex index", "boolean coordinate",
+        "boolean multiplicity", "vertices is an object", "simplices is a number",
+        "boolean quadrature order",
+    ])
+    def test_malformed_json_types_rejected(self, fault):
+        data = chain_to_dict(unit_segment_chain())
+        if fault == "top-level list":
+            data = [data]
+        elif fault == "simplex entry is a list":
+            data["simplices"][0] = [0, 1]
+        elif fault == "vertex row is a number":
+            data["vertices"][0] = 7
+        elif fault == "vertex row is a string":
+            data["vertices"][0] = "123"
+        elif fault == "boolean vertex index":
+            data["simplices"][0]["vertices"] = [False, True]
+        elif fault == "boolean coordinate":
+            data["vertices"][0][0] = True
+        elif fault == "boolean multiplicity":
+            data["simplices"][0]["multiplicity"] = True
+        elif fault == "vertices is an object":
+            data["vertices"] = {"0": ["0", "0", "0"]}
+        elif fault == "simplices is a number":
+            data["simplices"] = 3
+        else:
+            data["quadrature_order"] = True
+        with pytest.raises(ChainFormatError):
+            chain_from_dict(data)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ChainFormatError, match="invalid JSON"):
+            load_chain(path)
+
     def test_rational_strings_parsed_exactly(self, tmp_path):
         data = chain_to_dict(unit_segment_chain())
         data["vertices"][1][0] = "2/3"

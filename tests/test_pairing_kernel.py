@@ -47,7 +47,8 @@ from ruminslice.formio import load_chain
 from ruminslice.forms import random_form
 from ruminslice.heis import Point
 from ruminslice.quadrature import grundmann_moller, parameter_nodes, rule_for_degree
-from ruminslice.slicing import AffineFunction, _residual_battery
+from ruminslice.slicing import AffineFunction
+from test_slice_certificate import _residual_battery
 
 F = Fraction
 

@@ -27,7 +27,32 @@ from ruminslice.forms import PolyForm, random_form, random_poly
 from ruminslice.polys import Poly
 from ruminslice.rumin import lefschetz_solver, leibniz_expected, middle_lift
 from ruminslice.verify import random_I_form, random_J_form
-from ruminslice.linalg import rank, transpose
+from ruminslice.linalg import transpose
+
+
+def rank(rows):
+    """Row rank of a Fraction matrix, by Gauss-Jordan elimination."""
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    work = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][c]
+        work[r] = [v / pv for v in work[r]]
+        for i in range(m):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def p1():
