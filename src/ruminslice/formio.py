@@ -15,6 +15,12 @@ round-trips through the parser to an equal form.
 
 Chain files are JSON tagged "rumin-slice/1" with exact rationals encoded
 as strings "p/q".
+
+Integer literals, in expressions and in chain files (each of p and q, and
+JSON integers), may have at most ``MAX_LITERAL_DIGITS`` digits.  The
+length is checked on the text before any conversion, so a longer literal
+is a :class:`ParameterError` (:class:`ChainFormatError` in a chain file),
+not the ValueError Python raises past its own 4300-digit limit.
 """
 
 from __future__ import annotations
@@ -32,6 +38,16 @@ from .slicing import AffineFunction
 
 CHAIN_VERSION = "rumin-slice/1"
 
+MAX_LITERAL_DIGITS = 1000
+
+
+def _check_digits(text: str, error, *args):
+    """Raise ``error`` when the digit string ``text`` is longer than the cap."""
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_LITERAL_DIGITS:
+        raise error(f"integer literal of {digits} digits; the limit is {MAX_LITERAL_DIGITS}",
+                    *args)
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
 
@@ -48,6 +64,7 @@ def _tokenize(text: str):
         number, ident, op = match.groups()
         column = match.start(1 if number else 2 if ident else 3) + 1
         if number is not None:
+            _check_digits(number, FormSyntaxError, 1, column)
             tokens.append(("num", int(number), column))
         elif ident is not None:
             tokens.append(("ident", ident, column))
@@ -172,6 +189,7 @@ class _Parser:
         match = re.fullmatch(r"(d?)([xy])(\d+)", name)
         if match:
             differential, letter, index = match.groups()
+            _check_digits(index, FormSyntaxError, 1, column)
             j = int(index)
             if 1 <= j <= n:
                 offset = j - 1 if letter == "x" else n + j - 1
@@ -306,7 +324,14 @@ def _parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
         raise ChainFormatError(f"non-rational literal {text!r}; use strings like \"p/q\"")
+    for part in text.strip().split("/"):
+        _check_digits(part, ChainFormatError)
     return Fraction(text.strip())
+
+
+def _json_int(text: str) -> int:
+    _check_digits(text, ChainFormatError)
+    return int(text)
 
 
 def chain_to_dict(T: SimplicialCurrent) -> dict:
@@ -390,7 +415,7 @@ def chain_from_dict(data: dict) -> SimplicialCurrent:
 def load_chain(path) -> SimplicialCurrent:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_json_int)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ChainFormatError(f"invalid JSON: {exc}") from exc
     return chain_from_dict(data)

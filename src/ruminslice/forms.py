@@ -9,12 +9,17 @@ dx_1..dx_n, dy_1..dy_n, theta with
 
 The exterior derivative follows the Cartan rule in this coframe, with
 df = sum_j (X_j f dx_j + Y_j f dy_j) + (T f) theta expanded through the
-left-invariant derivations.  Everything is exact over the rationals.
+left-invariant derivations.  :func:`exterior_d` applies that rule one
+term c x^e e_B at a time: the frame derivations act on the exponent
+tuple e by integer operations, and a table cached per blade B lists the
+signed target blades of dw_j ^ e_B and of d(e_B).  Everything is exact
+over the rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import Covector, all_blades, wedge_blades
 from .errors import DimensionMismatchError, GradeMismatchError, ParameterError
@@ -64,12 +69,29 @@ class PolyForm:
                     poly = Poly.const(params.dim, poly)
                 if poly.is_zero():
                     continue
+                if poly.nvars != params.dim:
+                    raise DimensionMismatchError(
+                        f"coefficient in {poly.nvars} variables over H^{params.n}")
                 if len(blade) != grade or list(blade) != sorted(set(blade)):
                     raise ParameterError(f"bad blade {blade!r} for grade {grade}")
                 if blade and (blade[0] < 0 or blade[-1] >= params.dim):
                     raise ParameterError(f"blade {blade!r} out of range")
                 clean[blade] = poly
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, params: HeisParams, grade: int, coeffs: dict) -> "PolyForm":
+        """Wrap ``coeffs`` without validation.
+
+        The caller guarantees sorted in-range blades of length ``grade``
+        mapped to nonzero :class:`Poly` values over ``params.dim``
+        variables, and hands over ownership of the dict.
+        """
+        form = object.__new__(cls)
+        form.params = params
+        form.grade = grade
+        form.coeffs = coeffs
+        return form
 
     # -- constructors ---------------------------------------------------
 
@@ -123,10 +145,11 @@ class PolyForm:
                 coeffs.pop(blade, None)
             else:
                 coeffs[blade] = new
-        return PolyForm(self.params, self.grade, coeffs)
+        return PolyForm._trusted(self.params, self.grade, coeffs)
 
     def __neg__(self):
-        return PolyForm(self.params, self.grade, {b: -p for b, p in self.coeffs.items()})
+        return PolyForm._trusted(self.params, self.grade,
+                                 {b: -p for b, p in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -208,41 +231,104 @@ def wedge_forms(a: PolyForm, b: PolyForm) -> PolyForm:
                 out.pop(blade, None)
             else:
                 out[blade] = new
-    return PolyForm(a.params, grade, out)
+    return PolyForm._trusted(a.params, grade, out)
 
 
 def d_poly(params: HeisParams, f: Poly) -> PolyForm:
     """df = sum_j (W_j f) dw_j in the contact coframe."""
-    coeffs = {}
-    for j in range(params.dim):
-        deriv = derive_W(params, j, f)
-        if not deriv.is_zero():
-            coeffs[(j,)] = deriv
-    return PolyForm(params, 1, coeffs)
+    if f.nvars != params.dim:
+        raise DimensionMismatchError(f"polynomial in {f.nvars} variables over H^{params.n}")
+    return exterior_d(PolyForm.from_poly(params, f))
+
+
+@lru_cache(maxsize=None)
+def _d_table(n: int, blade: tuple) -> tuple:
+    """The blades that d(f e_B) reaches, with their signs.
+
+    Returns ``(wedges, dtheta)``: ``wedges`` holds ``(j, sign, target)``
+    with dw_j ^ e_B = sign e_target for every frame index j not in B;
+    ``dtheta`` holds ``(sign, target)`` with d(e_B) = sum sign e_target,
+    nonempty only when B ends in theta.  For B = B' + (theta,),
+    d(e_B) = (-1)^(k-1) e_B' ^ dtheta and dtheta = -sum_j dx_j ^ dy_j.
+    """
+    dim = 2 * n + 1
+    wedges = []
+    for j in range(dim):
+        merged = wedge_blades((j,), blade)
+        if merged is not None:
+            wedges.append((j, *merged))
+    dtheta = []
+    if blade and blade[-1] == 2 * n:
+        outer = 1 if len(blade) % 2 else -1
+        for j in range(n):
+            merged = wedge_blades(blade[:-1], (j, n + j))
+            if merged is not None:
+                dtheta.append((-outer * merged[0], merged[1]))
+    return tuple(wedges), tuple(dtheta)
+
+
+def _add_term(acc: dict, expo: tuple, value: Fraction):
+    old = acc.get(expo)
+    acc[expo] = value if old is None else old + value
 
 
 def exterior_d(omega: PolyForm) -> PolyForm:
     """Cartan-rule exterior derivative in the contact coframe.
 
-    d(f e_I) = df ^ e_I + f d(e_I) with d(dx_j) = d(dy_j) = 0 and
-    d(theta) = -sum dx_j ^ dy_j; blades carry theta at most once, as
-    their last index.
+    d(f e_B) = sum_j (W_j f) dw_j ^ e_B + f d(e_B) with d(dx_j) =
+    d(dy_j) = 0 and d(theta) = -sum dx_j ^ dy_j; blades carry theta at
+    most once, as their last index.  The rule is applied per term
+    c x^e e_B, where the derivations act on the exponent tuple e:
+
+        X_j: e_j x^(e - 1_j) - (1/2) e_t y_j x^(e - 1_t)
+        Y_j: e_j x^(e - 1_j) + (1/2) e_t x_j x^(e - 1_t)
+        T:   e_t x^(e - 1_t)
+
+    and the signed target blades come from :func:`_d_table`.  The terms
+    of each target blade accumulate in one dict; no intermediate
+    :class:`Poly` is built.
     """
     params = omega.params
-    vertical = params.dim - 1
-    result = PolyForm(params, omega.grade + 1)
-    dtheta = PolyForm.dtheta(params)
+    n = params.n
+    t = 2 * n
+    out = {}
     for blade, poly in omega.coeffs.items():
-        base = PolyForm.single(params, blade, Poly.const(params.dim, 1))
-        result = result + wedge_forms(d_poly(params, poly), base)
-        if blade and blade[-1] == vertical:
-            rest = PolyForm.single(params, blade[:-1], poly)
-            sign_form = wedge_forms(rest, dtheta)
-            if len(blade) % 2 == 0:
-                # d crosses the length-(k-1) prefix: sign (-1)^(k-1)
-                sign_form = -sign_form
-            result = result + sign_form
-    return result
+        wedges, dtheta = _d_table(n, blade)
+        wedge_accs = [(j, sign, out.setdefault(target, {})) for j, sign, target in wedges]
+        dtheta_accs = [(sign, out.setdefault(target, {})) for sign, target in dtheta]
+        for expo, coef in poly.terms.items():
+            et = expo[t]
+            if et:
+                lowered = list(expo)
+                lowered[t] -= 1
+                t_value = coef * et
+                half = t_value / 2
+            for j, sign, acc in wedge_accs:
+                if j == t:
+                    if et:
+                        _add_term(acc, tuple(lowered), t_value if sign > 0 else -t_value)
+                    continue
+                ej = expo[j]
+                if ej:
+                    shifted = list(expo)
+                    shifted[j] -= 1
+                    value = coef * ej
+                    _add_term(acc, tuple(shifted), value if sign > 0 else -value)
+                if et:
+                    # X_j carries -(1/2) y_j T, Y_j carries +(1/2) x_j T
+                    partner = j + n if j < n else j - n
+                    shifted = list(lowered)
+                    shifted[partner] += 1
+                    _add_term(acc, tuple(shifted), half if (sign > 0) == (j >= n) else -half)
+            for sign, acc in dtheta_accs:
+                _add_term(acc, expo, coef if sign > 0 else -coef)
+    dim = params.dim
+    coeffs = {}
+    for target, acc in out.items():
+        terms = {e: c for e, c in acc.items() if c}
+        if terms:
+            coeffs[target] = Poly._trusted(dim, terms)
+    return PolyForm._trusted(params, omega.grade + 1, coeffs)
 
 
 def horizontal_gradient(params: HeisParams, f: Poly) -> tuple:

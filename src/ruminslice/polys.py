@@ -4,6 +4,10 @@ A :class:`Poly` stores a map from exponent tuples to nonzero ``Fraction``
 coefficients.  The variable count is fixed per polynomial; the geometric
 layers order the variables as ``x1..xn, y1..yn, t``.  All arithmetic is
 exact; evaluation accepts rational or float points.
+
+The public constructor validates every term.  Arithmetic inside the
+library builds its results with :meth:`Poly._trusted`, which skips that
+pass: sums and products of clean polynomials are clean by construction.
 """
 
 from __future__ import annotations
@@ -40,6 +44,19 @@ class Poly:
                     raise ValueError(f"bad exponent tuple {expo!r} for {nvars} variables")
                 clean[tuple(expo)] = coef
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap ``terms`` without validation.
+
+        The caller guarantees tuple exponents of length ``nvars`` with
+        nonnegative entries and nonzero ``Fraction`` coefficients, and
+        hands over ownership of the dict.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -93,12 +110,12 @@ class Poly:
                 terms.pop(expo, None)
             else:
                 terms[expo] = new
-        return Poly(self.nvars, terms)
+        return Poly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -113,7 +130,7 @@ class Poly:
             coef = _coerce(other)
             if coef == 0:
                 return Poly(self.nvars)
-            return Poly(self.nvars, {e: c * coef for e, c in self.terms.items()})
+            return Poly._trusted(self.nvars, {e: c * coef for e, c in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -124,7 +141,7 @@ class Poly:
                     out.pop(expo, None)
                 else:
                     out[expo] = new
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -163,7 +180,7 @@ class Poly:
             new_expo = list(expo)
             new_expo[index] = e - 1
             out[tuple(new_expo)] = coef * e
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     def evaluate(self, point):
         """Evaluate at a coordinate sequence (rational or float entries)."""

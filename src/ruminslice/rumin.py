@@ -20,6 +20,14 @@ spelling, and for every n it is the unique correction making the image
 land in J^(n+1).  scr_L is total on grade-n forms: on a pure theta part
 theta ^ beta it returns the horizontal solution of L(u) = -L(beta),
 so the lift cancels theta parts automatically.
+
+L, its middle inverse and the primitive projection are fixed linear maps
+on each monomial's vector of blade coefficients.  Their exact matrices
+are built once per (n, grade) from one table of constant generators
+(:func:`_generator_columns`, Covector wedges with theta and dtheta) and
+stored as sparse rows, so a monomial costs one product per nonzero
+entry.  Every output is still checked: ``L_inv`` verifies dtheta ^ u = w,
+and every high-degree class passes ``is_in_J``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebra import all_blades
+from .algebra import Covector, all_blades, wedge
 from .errors import InternalInvariantError, ParameterError
 from .forms import PolyForm, d_poly, exterior_d, wedge_forms
 from .heis import HeisParams
@@ -54,19 +62,29 @@ def full_blades(n: int, grade: int) -> tuple:
     return tuple(all_blades(2 * n + 1, grade))
 
 
-def _dtheta_columns(n: int, grade: int):
-    """Vectors of dtheta ^ (horizontal blade) over horizontal (grade+2)-blades."""
-    params = HeisParams(n)
-    dtheta = PolyForm.dtheta(params)
-    targets = {b: i for i, b in enumerate(horizontal_blades(n, grade + 2))}
+@lru_cache(maxsize=None)
+def _generator_columns(n: int, generator: str, grade: int, horizontal: bool) -> tuple:
+    """Columns of blade ^ theta or blade ^ dtheta, one per source blade.
+
+    The source blades are the ``grade``-blades (horizontal ones only when
+    ``horizontal``); each column holds the constant coefficients of the
+    wedge over the target blades of grade ``grade + 1`` (theta) or
+    ``grade + 2`` (dtheta), horizontal or full as the sources are.  The
+    one table behind the ideal generators, the Lefschetz matrices and
+    the J-space basis.
+    """
+    dim = 2 * n + 1
+    if generator == "theta":
+        factor, step = Covector.blade(dim, (2 * n,)), 1
+    else:
+        factor, step = Covector(dim, 2, {(j, n + j): Fraction(-1) for j in range(n)}), 2
+    blades = horizontal_blades if horizontal else full_blades
+    targets = blades(n, grade + step)
     columns = []
-    for blade in horizontal_blades(n, grade):
-        form = wedge_forms(dtheta, PolyForm.single(params, blade, Poly.const(params.dim, 1)))
-        vec = [Fraction(0)] * len(targets)
-        for b, poly in form.coeffs.items():
-            vec[targets[b]] = poly.constant_value()
-        columns.append(vec)
-    return columns
+    for blade in blades(n, grade):
+        image = wedge(Covector.blade(dim, blade), factor)
+        columns.append(tuple(image.coefficient(b) for b in targets))
+    return tuple(columns)
 
 
 class LefschetzSolver:
@@ -82,7 +100,7 @@ class LefschetzSolver:
 
     def matrix(self, grade: int):
         """Matrix of L from horizontal ``grade``-forms, columns by blade."""
-        return _dtheta_columns(self.n, grade)
+        return _generator_columns(self.n, "dtheta", grade, True)
 
     def middle_inverse(self):
         if self._inverse is None:
@@ -98,6 +116,12 @@ class LefschetzSolver:
 @lru_cache(maxsize=None)
 def lefschetz_solver(n: int) -> LefschetzSolver:
     return LefschetzSolver(n)
+
+
+@lru_cache(maxsize=None)
+def _middle_inverse_rows(n: int) -> tuple:
+    """The Lefschetz middle inverse as sparse rows."""
+    return linalg.sparse_rows(lefschetz_solver(n).middle_inverse())
 
 
 # -- per-monomial vectorization ------------------------------------------
@@ -124,12 +148,16 @@ def _form_from_vectors(params: HeisParams, grade: int, blades, slices) -> PolyFo
     coeffs = {}
     for expo, vec in slices.items():
         for blade, value in zip(blades, vec):
-            if value == 0:
-                continue
-            poly = coeffs.get(blade)
-            term = Poly(params.dim, {expo: value})
-            coeffs[blade] = term if poly is None else poly + term
-    return PolyForm(params, grade, coeffs)
+            if value:
+                coeffs.setdefault(blade, {})[expo] = value
+    return _form_from_terms(params, grade, coeffs)
+
+
+def _form_from_terms(params: HeisParams, grade: int, terms: dict) -> PolyForm:
+    """The form with coefficient dicts ``{blade: {expo: nonzero Fraction}}``."""
+    dim = params.dim
+    return PolyForm._trusted(params, grade,
+                             {b: Poly._trusted(dim, t) for b, t in terms.items()})
 
 
 # -- contact ideal membership ---------------------------------------------
@@ -138,29 +166,12 @@ def _form_from_vectors(params: HeisParams, grade: int, blades, slices) -> PolyFo
 @lru_cache(maxsize=None)
 def _ideal_matrix(n: int, grade: int):
     """Columns of (alpha ^ theta, beta ^ dtheta) generators over k-blades."""
-    params = HeisParams(n)
-    theta = PolyForm.theta(params)
-    dtheta = PolyForm.dtheta(params)
-    targets = {b: i for i, b in enumerate(full_blades(n, grade))}
-    columns = []
-    tags = []
-    one = Poly.const(params.dim, 1)
-    for blade in full_blades(n, grade - 1):
-        form = wedge_forms(PolyForm.single(params, blade, one), theta)
-        vec = [Fraction(0)] * len(targets)
-        for b, poly in form.coeffs.items():
-            vec[targets[b]] = poly.constant_value()
-        columns.append(vec)
-        tags.append(("alpha", blade))
-    for blade in full_blades(n, grade - 2):
-        form = wedge_forms(PolyForm.single(params, blade, one), dtheta)
-        vec = [Fraction(0)] * len(targets)
-        for b, poly in form.coeffs.items():
-            vec[targets[b]] = poly.constant_value()
-        columns.append(vec)
-        tags.append(("beta", blade))
+    columns = (_generator_columns(n, "theta", grade - 1, False)
+               + _generator_columns(n, "dtheta", grade - 2, False))
+    tags = tuple([("alpha", b) for b in full_blades(n, grade - 1)]
+                 + [("beta", b) for b in full_blades(n, grade - 2)])
     rows = linalg.transpose(columns) if columns else []
-    return rows, tuple(tags)
+    return rows, tags
 
 
 def is_in_I(omega: PolyForm):
@@ -190,14 +201,11 @@ def is_in_I(omega: PolyForm):
         if solution is None:
             return (False, None, None)
         for value, (kind, blade) in zip(solution, tags):
-            if value == 0:
-                continue
-            store = alpha_terms if kind == "alpha" else beta_terms
-            poly = store.get(blade)
-            term = Poly(params.dim, {expo: value})
-            store[blade] = term if poly is None else poly + term
-    alpha = PolyForm(params, k - 1, alpha_terms)
-    beta = PolyForm(params, k - 2, beta_terms) if k >= 2 else None
+            if value:
+                store = alpha_terms if kind == "alpha" else beta_terms
+                store.setdefault(blade, {})[expo] = value
+    alpha = _form_from_terms(params, k - 1, alpha_terms)
+    beta = _form_from_terms(params, k - 2, beta_terms) if k >= 2 else None
     return (True, alpha, beta)
 
 
@@ -214,19 +222,21 @@ def is_in_J(omega: PolyForm) -> bool:
 
 @lru_cache(maxsize=None)
 def _primitive_projection(n: int, grade: int):
-    """Projection matrix onto the image of L inside horizontal k-forms."""
-    columns = _dtheta_columns(n, grade - 2)
+    """Sparse rows of the projection onto the image of L in horizontal k-forms."""
+    columns = _generator_columns(n, "dtheta", grade - 2, True)
     if not columns:
         return None
-    return linalg.column_space_projection(columns)
+    return linalg.sparse_rows(linalg.column_space_projection(columns))
 
 
 def canonical_rep(omega: PolyForm) -> PolyForm:
     """Primitive horizontal representative of [omega] in Omega^k / I^k.
 
     Strips theta blades, then removes the exact orthogonal projection
-    onto dtheta ^ (horizontal (k-2)-forms), monomial by monomial.  Two
-    forms are congruent mod I^k iff their representatives coincide.
+    onto dtheta ^ (horizontal (k-2)-forms), monomial by monomial: each
+    monomial's coefficient vector is multiplied by the cached sparse
+    rows of the projection.  Two forms are congruent mod I^k iff their
+    representatives coincide.
     """
     params = omega.params
     n = params.n
@@ -242,7 +252,7 @@ def canonical_rep(omega: PolyForm) -> PolyForm:
     slices = _monomial_vectors(horizontal, blade_index)
     out = {}
     for expo, vec in slices.items():
-        shadow = linalg.mat_vec(projection, vec)
+        shadow = linalg.sparse_mat_vec(projection, vec)
         out[expo] = [a - b for a, b in zip(vec, shadow)]
     return _form_from_vectors(params, k, blades, out)
 
@@ -261,6 +271,9 @@ def L_inv(w: PolyForm) -> PolyForm:
     """Solve dtheta ^ u = w for horizontal u of grade n-1, exactly.
 
     Defined for horizontal w of grade n+1, where L is an isomorphism.
+    Each monomial's coefficient vector is multiplied by the cached sparse
+    rows of the middle inverse, and the result is verified: dtheta ^ u
+    must equal w, else :class:`InternalInvariantError`.
     """
     params = w.params
     n = params.n
@@ -268,12 +281,12 @@ def L_inv(w: PolyForm) -> PolyForm:
         raise ParameterError(f"L_inv expects grade {n + 1}, got {w.grade}")
     if not w.is_horizontal():
         raise ParameterError("L_inv expects a horizontal form")
-    inverse = lefschetz_solver(n).middle_inverse()
+    inverse = _middle_inverse_rows(n)
     source = horizontal_blades(n, n - 1)
     target = horizontal_blades(n, n + 1)
     blade_index = {b: i for i, b in enumerate(target)}
     slices = _monomial_vectors(w, blade_index)
-    out = {expo: linalg.mat_vec(inverse, vec) for expo, vec in slices.items()}
+    out = {expo: linalg.sparse_mat_vec(inverse, vec) for expo, vec in slices.items()}
     result = _form_from_vectors(params, n - 1, source, out)
     if not wedge_forms(PolyForm.dtheta(params), result) == w:
         raise InternalInvariantError("Lefschetz solve failed to verify")

@@ -19,6 +19,7 @@ from .heis import HeisParams
 from .polys import Poly
 from .rumin import (
     RuminClass,
+    _generator_columns,
     canonical_rep,
     d_c,
     horizontal_blades,
@@ -60,19 +61,15 @@ def _j_space_basis(n: int, degree: int):
     """Basis of J^degree as theta ^ (kernel of L on horizontal forms)."""
     params = HeisParams(n)
     source = horizontal_blades(n, degree - 1)
-    target = horizontal_blades(n, degree + 1)
-    from .rumin import lefschetz_solver
-
-    columns = lefschetz_solver(n).matrix(degree - 1)
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    kernel = linalg.nullspace(rows, len(source))
-    theta = PolyForm.theta(params)
+    lefschetz = _generator_columns(n, "dtheta", degree - 1, True)
+    kernel = linalg.nullspace(linalg.transpose(lefschetz), len(source))
+    # theta ^ e_B = (-1)^|B| e_(B + theta): theta is the last coframe index
+    sign = -1 if (degree - 1) % 2 else 1
     basis = []
     for vec in kernel:
-        coeffs = {blade: value for blade, value in zip(source, vec) if value != 0}
-        psi = PolyForm(params, degree - 1,
-                       {b: Poly.const(params.dim, c) for b, c in coeffs.items()})
-        basis.append(wedge_forms(theta, psi))
+        coeffs = {blade + (2 * n,): Poly.const(params.dim, sign * value)
+                  for blade, value in zip(source, vec) if value != 0}
+        basis.append(PolyForm(params, degree, coeffs))
     return tuple(basis)
 
 

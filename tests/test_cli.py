@@ -76,6 +76,26 @@ class TestSliceCommand:
     def test_bad_expression_exits_2(self, capsys):
         assert main(["slice", "--chain", CUBE, "--f", "dq9", "--t", "1/2"]) == 2
 
+    def test_oversized_literal_in_expression_exits_2(self, capsys):
+        segment = str(FIXTURES / "segment_h1.json")
+        assert main(["slice", "--chain", segment, "--f", "1" * 5000 + "*x1", "--t", "1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_oversized_literal_in_chain_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": "rumin-slice/1", "n": 1, "degree": 1,'
+                        ' "vertices": [["0", "0", "0"], ["%s/3", "0", "0"]],'
+                        ' "simplices": [{"vertices": [0, 1]}]}' % ("1" * 5000))
+        assert main(["slice", "--chain", str(path), "--f", "x1", "--t", "1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("payload", [
         "[]",
         '{"version": "rumin-slice/1", "n": 1, "degree": 1,'

@@ -24,6 +24,7 @@ from ruminslice import (
     save_chain,
 )
 from ruminslice.fixtures import unit_segment_chain
+from ruminslice.formio import MAX_LITERAL_DIGITS
 from ruminslice.forms import PolyForm, random_form
 from ruminslice.polys import Poly
 
@@ -67,6 +68,12 @@ class TestParser:
     def test_out_of_range_index(self):
         with pytest.raises(FormSyntaxError):
             parse_form("dx3", p2())
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "*x1", "x" + "1" * 5000],
+                             ids=["number", "variable index"])
+    def test_oversized_integer_literal_rejected(self, text):
+        with pytest.raises(ParameterError, match="5000 digits"):
+            parse_form(text, p1())
 
     def test_syntax_error_position(self):
         with pytest.raises(FormSyntaxError) as err:
@@ -250,6 +257,31 @@ class TestChainFiles:
         data["vertices"][1][0] = "2/3"
         chain = chain_from_dict(data)
         assert mass(chain) == F(2, 3)
+
+    @pytest.mark.parametrize("where", ["numerator", "denominator", "json integer"])
+    def test_oversized_literal_rejected_before_conversion(self, tmp_path, where):
+        # 5000 digits is past Python's own 4300-digit int-string limit
+        data = chain_to_dict(unit_segment_chain())
+        huge = "1" * 5000
+        if where == "numerator":
+            data["vertices"][1][0] = huge + "/3"
+        elif where == "denominator":
+            data["vertices"][1][0] = "1/" + huge
+        else:
+            data["vertices"][1][0] = "__HUGE__"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace('"__HUGE__"', huge))
+        with pytest.raises(ChainFormatError, match="5000 digits"):
+            load_chain(path)
+
+    def test_literal_at_the_digit_cap_accepted(self):
+        data = chain_to_dict(unit_segment_chain())
+        top = "9" * MAX_LITERAL_DIGITS
+        data["vertices"][1][0] = f"{top}/{top}"
+        assert mass(chain_from_dict(data)) == 1
+        data["vertices"][1][0] = "9" + top
+        with pytest.raises(ChainFormatError, match="limit is"):
+            chain_from_dict(data)
 
     def test_cube_json_is_valid_json(self):
         with open(FIXTURES / "cube_h1.json", "r", encoding="utf-8") as handle:
