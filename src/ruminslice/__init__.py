@@ -11,9 +11,11 @@ The library is organized in layers:
 * :mod:`ruminslice.formio` / :mod:`ruminslice.cli` -- expressions, chain files,
   CSV and the command-line surface.
 
-Everything geometric is exact over the rationals unless the inputs are
-floats; all values are immutable and every operation is a pure function,
-so the API is safe to use from concurrent threads.
+Everything geometric is exact over the rationals: chains, half-spaces,
+affine functions and levels convert float inputs exactly where they
+enter (:mod:`ruminslice.heis` points alone keep float support).  All
+values are immutable and every operation is a pure function, so the API
+is safe to use from concurrent threads.
 """
 
 from .algebra import (

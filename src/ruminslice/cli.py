@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .formio import (
+    MAX_LITERAL_DIGITS,
     chain_to_dict,
     coarea_csv_lines,
     load_chain,
@@ -37,6 +39,21 @@ from .verify import complex_battery, lemma_battery, run_batteries
 
 
 def _fraction(text: str) -> Fraction:
+    """A level literal ("1/3", "0.25", "1e-4") as an exact Fraction.
+
+    Each side of the slash, its digits plus its decimal exponent, may not
+    exceed ``MAX_LITERAL_DIGITS``; this is checked on the text before
+    ``Fraction()`` runs, so a huge exponent is never expanded.
+    """
+    for part in text.split("/"):
+        size = sum(c.isdigit() for c in part)
+        exponent = re.search(r"[eE]([-+]?\d+)", part)
+        if size <= MAX_LITERAL_DIGITS and exponent:
+            size += abs(int(exponent.group(1)))
+        if size > MAX_LITERAL_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"literal of {size} digits, exponent included; "
+                f"the limit is {MAX_LITERAL_DIGITS}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

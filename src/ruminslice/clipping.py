@@ -13,6 +13,12 @@ by a caller that already has it) and carried down the recursion; a cut
 point's value is exactly 0.  :meth:`HalfSpace.sides` is the one rule
 that turns values into sides, for the split and for callers that
 classify whole simplices before clipping.
+
+Geometry is exact only.  Every finite float is a dyadic rational, so the
+public constructors (:class:`HalfSpace` here, ``Simplex``,
+``AffineFunction``, ``GammaWeight`` and the level arguments of
+:mod:`ruminslice.slicing`) convert their numbers with :func:`exact`;
+sides are exact signs, and a cut point lies strictly inside its edge.
 """
 
 from __future__ import annotations
@@ -23,6 +29,23 @@ from fractions import Fraction
 from .errors import ParameterError
 
 _OPS = (">", ">=", "<", "<=")
+
+
+def exact(value, what: str = "value") -> Fraction:
+    """``value`` as a Fraction: ints and Fractions as they are, finite
+    floats exactly (every finite float is a dyadic rational).
+
+    NaN, infinities and other types raise :class:`ParameterError`.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, float)):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"{what} must be finite, got {value!r}") from exc
+    raise ParameterError(f"{what} must be an int, Fraction or finite float, "
+                         f"got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -36,43 +59,16 @@ class HalfSpace:
     def __post_init__(self):
         if self.op not in _OPS:
             raise ParameterError(f"half-space op must be one of {_OPS}, got {self.op!r}")
-        # ints would fall into float division later; promote them now
-        object.__setattr__(
-            self, "coeffs",
-            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs),
-        )
-        if isinstance(self.const, int):
-            object.__setattr__(self, "const", Fraction(self.const))
+        object.__setattr__(self, "coeffs",
+                           tuple(exact(c, "half-space coefficient") for c in self.coeffs))
+        object.__setattr__(self, "const", exact(self.const, "half-space constant"))
 
     def value(self, coords):
         return sum(a * b for a, b in zip(self.coeffs, coords)) - self.const
 
     def sides(self, values) -> tuple:
-        """Side of the hyperplane for each value of :meth:`value`: 1, -1 or 0.
-
-        Exact values are on the plane only at 0; float values within
-        :meth:`float_tolerance` of 0 are on it.
-        """
-        tol = None
-        out = []
-        for v in values:
-            if isinstance(v, float):
-                if tol is None:
-                    tol = self.float_tolerance()
-                if abs(v) <= tol:
-                    out.append(0)
-                    continue
-            elif v == 0:
-                out.append(0)
-                continue
-            out.append(1 if v > 0 else -1)
-        return tuple(out)
-
-    def float_tolerance(self) -> float:
-        """On-plane tolerance for float vertices; depends only on the
-        half-space so adjacent simplices classify shared edges alike."""
-        return 1e-12 * (1.0 + abs(float(self.const))
-                        + sum(abs(float(c)) for c in self.coeffs))
+        """Side of the hyperplane for each value of :meth:`value`: 1, -1 or 0."""
+        return tuple((v > 0) - (v < 0) for v in values)
 
     def keeps_boundary(self) -> bool:
         return self.op in (">=", "<=")
@@ -91,10 +87,7 @@ def _edge_key(a, b):
 
 
 def _cut_point(a, b, va, vb):
-    # interpolate from the canonically smaller endpoint so the float
-    # result is bitwise identical no matter which simplex cuts the edge
-    if tuple(b) < tuple(a):
-        a, b, va, vb = b, a, vb, va
+    # exact: the same point whichever endpoint it is interpolated from
     lam = -va / (vb - va)
     return tuple(x + lam * (y - x) for x, y in zip(a, b))
 
@@ -106,6 +99,7 @@ def split_simplex(vertices, halfspace: HalfSpace, values=None):
     half-space and its closed complement.  Pieces entirely inside the
     hyperplane go to ``kept`` iff the half-space is closed.  ``values``
     are the vertices' :meth:`HalfSpace.value`, when the caller has them.
+    Coordinates are exact (``Simplex`` converts floats on the way in).
     """
     simplex = tuple(vertices)
     if values is None:
@@ -136,7 +130,6 @@ def split_simplex(vertices, halfspace: HalfSpace, values=None):
         i, j = min(crossing, key=lambda e: _edge_key(simplex[e[0]], simplex[e[1]]))
         cut = _cut_point(simplex[i], simplex[j], values[i], values[j])
         # the cut lies on the plane: value 0 and side 0, never recomputed
-        # (a float recomputation could leave the tolerance and recurse forever)
         for index in (i, j):
             piece = list(simplex)
             piece[index] = cut

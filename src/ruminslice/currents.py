@@ -1,10 +1,12 @@
 """Desk-scale currents: weighted oriented affine simplicial chains.
 
 A degree-k current is a finite list of k-simplices in R^(2n+1) with
-rational (or float) multiplicities.  Writing e_1..e_k for the edge
-vectors of a simplex, the tangent k-vector at a point p is the wedge of
-the frame images frame_change(p, e_i); the pairing with a polynomial
-form and the induced measure are
+rational multiplicities.  ``Simplex`` converts float coordinates and
+multiplicities exactly (see :func:`ruminslice.clipping.exact`), so every
+chain is exact.  Writing e_1..e_k for the edge vectors of a simplex, the
+tangent k-vector at a point p is the wedge of the frame images
+frame_change(p, e_i); the pairing with a polynomial form and the induced
+measure are
 
     T(omega)  = sum_S mult(S) * int_S <omega(p) | V(p)> ds,
     mu_T(A)   = sum_S |mult(S)| * int_(S cap A) |V(p)| ds,
@@ -29,9 +31,8 @@ det(A) is the ratio of one nonvanishing coordinate k x k minor of the
 piece's edges to the same minor of the parent's.  Restriction and the
 measure of half-space regions therefore wedge nothing per piece: the
 piece's vertex tangents are det(A) times the parent's tangent field,
-interpolated at the piece's vertices.  An exact cut point lies strictly
-inside its edge, so det(A) never vanishes on exact chains; float pieces
-keep a tolerance test for degenerate slivers.
+interpolated at the piece's vertices.  A cut point lies strictly inside
+its edge, so det(A) never vanishes and no clip piece is degenerate.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import Covector, MultiVector, pair, wedge
-from .clipping import HalfSpace, split_simplex
+from .clipping import HalfSpace, exact, split_simplex
 from .errors import (
     AdmissibilityError,
     DimensionMismatchError,
@@ -58,94 +59,42 @@ from .rumin import RuminClass, _ideal_matrix, full_blades
 DEFAULT_QUADRATURE_DEGREE = 5
 
 
-def _is_degenerate(vertices, degree: int) -> bool:
-    """True when the vertices do not span an affine ``degree``-plane.
-
-    Decided by the Gram determinant of the edge vectors: exact integer
-    arithmetic after clearing denominators, scale-aware tolerance for
-    float vertices.
-    """
-    base = vertices[0]
-    edges = [tuple(a - b for a, b in zip(v, base)) for v in vertices[1:]]
-    if not edges:
-        return False
-    if any(isinstance(c, float) for e in edges for c in e):
-        gram = [[sum(x * y for x, y in zip(u, w)) for w in edges] for u in edges]
-        return _float_rank(gram) < degree
-    denom = 1
-    for e in edges:
-        for c in e:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    scaled = [tuple(int(c * denom) for c in e) for e in edges]
-    gram = [[sum(x * y for x, y in zip(u, w)) for w in scaled] for u in scaled]
-    return _int_det(gram) == 0
-
-
-def _has_float(vertices) -> bool:
-    return any(isinstance(c, float) for v in vertices for c in v)
-
-
-def _is_sliver(piece, degree: int) -> bool:
-    """True for a degenerate clip piece.
-
-    An exact cut point lies strictly inside its edge, so an exact piece
-    spans its parent's k-plane; only float pieces can be slivers, by the
-    tolerance of :func:`_is_degenerate`.
-    """
-    return _has_float(piece) and _is_degenerate(piece, degree)
-
-
-def _int_det(matrix) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    size = len(matrix)
+def _det(rows):
+    """Determinant of a small square matrix of Fractions."""
+    size = len(rows)
+    if size == 0:
+        return Fraction(1)
     if size == 1:
-        return matrix[0][0]
+        return rows[0][0]
     if size == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if size == 3:
-        a, b, c = matrix[0]
-        d, e, f = matrix[1]
-        g, h, i = matrix[2]
+        (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    work = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        if work[col][col] == 0:
-            swap = next((r for r in range(col + 1, size) if work[r][col] != 0), None)
-            if swap is None:
-                return 0
-            work[col], work[swap] = work[swap], work[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                work[r][c] = (work[r][c] * work[col][col] - work[r][col] * work[col][c]) // prev
-            work[r][col] = 0
-        prev = work[col][col]
-    return sign * work[size - 1][size - 1]
+    return sum((-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(size) if rows[0][j] != 0)
 
 
-def _float_rank(gram) -> int:
-    work = [[float(v) for v in row] for row in gram]
-    m = len(work)
-    scale = max((abs(v) for row in work for v in row), default=0.0)
-    tol = 1e-12 * max(scale, 1.0)
-    r = 0
-    for c in range(m):
-        pivot_row = max(range(r, m), key=lambda i: abs(work[i][c]), default=None)
-        if pivot_row is None or abs(work[pivot_row][c]) <= tol:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+def _minor(vertices, rows):
+    """The coordinate minor on axes ``rows`` of the edges from vertex 0."""
+    base = vertices[0]
+    return _det([[v[axis] - base[axis] for v in vertices[1:]] for axis in rows])
+
+
+def _first_minor(vertices, degree: int):
+    """(axes, minor) for the first ``degree`` coordinate axes, in
+    lexicographic order, on which the edges have a nonzero minor; None
+    when the vertices do not span an affine ``degree``-plane."""
+    for rows in combinations(range(len(vertices[0])), degree):
+        minor = _minor(vertices, rows)
+        if minor != 0:
+            return rows, minor
+    return None
+
+
+def _is_degenerate(vertices, degree: int) -> bool:
+    """True when the vertices do not span an affine ``degree``-plane."""
+    return _first_minor(vertices, degree) is None
 
 
 @dataclass(frozen=True)
@@ -156,9 +105,9 @@ class Simplex:
     multiplicity: object = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
-        if isinstance(self.multiplicity, int):
-            object.__setattr__(self, "multiplicity", Fraction(self.multiplicity))
+        object.__setattr__(self, "vertices", tuple(
+            tuple(exact(c, "vertex coordinate") for c in v) for v in self.vertices))
+        object.__setattr__(self, "multiplicity", exact(self.multiplicity, "multiplicity"))
         lengths = {len(v) for v in self.vertices}
         if len(lengths) != 1:
             raise ParameterError("simplex vertices of unequal dimension")
@@ -169,10 +118,11 @@ class Simplex:
     def _trusted(cls, vertices: tuple, multiplicity) -> "Simplex":
         """A simplex built without the checks, for internal constructions.
 
-        ``vertices`` must be a tuple of equal-length coordinate tuples
-        whose degeneracy the caller has decided already (a face, clip
-        piece, reordering or rescaling of a checked simplex), and
-        ``multiplicity`` a Fraction or float.
+        ``vertices`` must be a tuple of equal-length tuples of exact
+        coordinates whose degeneracy the caller has decided already (a
+        face, clip piece, reordering or rescaling of a checked simplex),
+        and ``multiplicity`` a Fraction.  Floats never get here: the public
+        constructor converts them exactly.
         """
         simplex = object.__new__(cls)
         object.__setattr__(simplex, "vertices", vertices)
@@ -224,6 +174,7 @@ class SimplicialCurrent:
                                  self.quadrature_degree)
 
     def scaled(self, factor) -> "SimplicialCurrent":
+        factor = exact(factor, "scale factor")
         return self.with_simplices(
             Simplex._trusted(s.vertices, s.multiplicity * factor) for s in self.simplices
         )
@@ -244,16 +195,14 @@ class SimplicialCurrent:
 
         The result lists each support simplex once, vertices sorted
         lexicographically, with the net multiplicity; zero multiplicities
-        and degenerate slivers disappear.  Canonical chains compare
-        meaningfully with ``==`` on their simplex tuples.
+        disappear.  Canonical chains compare meaningfully with ``==`` on
+        their simplex tuples.  No simplex is degenerate: the public
+        constructor refuses them (after converting floats exactly), and
+        faces, clip pieces and reorderings of a nondegenerate simplex stay
+        nondegenerate.
         """
         merged = {}
         for s in self.simplices:
-            # exact simplices are never degenerate: the public constructor
-            # refuses them, and faces, clip pieces and reorderings of a
-            # nondegenerate exact simplex stay nondegenerate
-            if _has_float(s.vertices) and s.degenerate():
-                continue
             order = sorted(range(len(s.vertices)), key=lambda i: tuple(s.vertices[i]))
             sign = _permutation_sign(order)
             key = tuple(s.vertices[i] for i in order)
@@ -558,34 +507,11 @@ def _blade_pairings(T: SimplicialCurrent, tangents=None) -> dict:
 # -- clipping with inherited tangents -----------------------------------------
 
 
-def _det(rows):
-    """Determinant of a small square matrix of Fractions or floats."""
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if size == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum((-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j in range(size) if rows[0][j] != 0)
-
-
-def _minor(vertices, rows):
-    """The coordinate minor on axes ``rows`` of the edges from vertex 0."""
-    base = vertices[0]
-    return _det([[v[axis] - base[axis] for v in vertices[1:]] for axis in rows])
-
-
 class _Parent:
     """What the clip pieces of one simplex inherit from it.
 
-    ``rows`` are k coordinate axes on which the edges have a nonzero
-    minor ``minor`` (the first such axes on exact chains, the largest
-    minor on float chains).  The vertex tangents and the whole mass are
+    ``rows`` are the first k coordinate axes on which the edges have a
+    nonzero minor ``minor``.  The vertex tangents and the whole mass are
     computed on first use.
     """
 
@@ -594,16 +520,7 @@ class _Parent:
     def __init__(self, params: HeisParams, simplex: Simplex):
         self.params = params
         self.simplex = simplex
-        vertices = simplex.vertices
-        exact = not _has_float(vertices)
-        self.rows, self.minor = None, 0
-        for rows in combinations(range(len(vertices[0])), simplex.degree):
-            minor = _minor(vertices, rows)
-            if exact and minor != 0:
-                self.rows, self.minor = rows, minor
-                break
-            if not exact and abs(minor) > abs(self.minor):
-                self.rows, self.minor = rows, minor
+        self.rows, self.minor = _first_minor(simplex.vertices, simplex.degree)
         self._tangents = None
         self._mass = None
 
@@ -653,9 +570,8 @@ def _clip_pieces(vertices, halfspaces, values=None) -> list:
 
     ``values`` holds, per half-space, a mapping from vertex to
     :meth:`HalfSpace.value`; vertices it lacks (cut points) are
-    evaluated.  Slivers (:func:`_is_sliver`) are dropped after each cut.
+    evaluated.
     """
-    degree = len(vertices) - 1
     pieces = [vertices]
     for index, hs in enumerate(halfspaces):
         table = values[index] if values is not None else None
@@ -664,8 +580,7 @@ def _clip_pieces(vertices, halfspaces, values=None) -> list:
             known = None
             if table is not None:
                 known = [table[v] if v in table else hs.value(v) for v in piece]
-            kept, _ = split_simplex(piece, hs, known)
-            clipped.extend(p for p in kept if p is piece or not _is_sliver(p, degree))
+            clipped.extend(split_simplex(piece, hs, known)[0])
         pieces = clipped
     return pieces
 
@@ -710,8 +625,9 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     """T restricted to an intersection of affine half-spaces, exactly.
 
     Each simplex is subdivided along the bounding hyperplanes; kept
-    pieces inherit multiplicity and orientation.  Degenerate slivers are
-    dropped (they carry no measure).
+    pieces inherit multiplicity and orientation.  Coordinates are exact
+    (floats were converted by ``Simplex``), so every cut point lies
+    strictly inside its edge and no piece is a degenerate sliver.
     """
     halfspaces = _halfspace_list(halfspaces)
     clipped = []
@@ -776,6 +692,12 @@ class GammaWeight:
     t: object
     h: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "fcoeffs", tuple(exact(c, "coefficient") for c in self.fcoeffs))
+        object.__setattr__(self, "fconst", exact(self.fconst, "constant"))
+        object.__setattr__(self, "t", exact(self.t, "level"))
+        object.__setattr__(self, "h", exact(self.h, "band width"))
+
     def level_halfspaces(self):
         low = HalfSpace(self.fcoeffs, self.t - self.fconst, ">")
         high = HalfSpace(self.fcoeffs, self.t + self.h - self.fconst, ">")
@@ -805,10 +727,8 @@ class WeightedCurrent:
                     next_rest = []
                     for piece in rest:
                         kept, dropped = split_simplex(piece.vertices, hs)
-                        next_rest.extend(Simplex._trusted(p, piece.multiplicity) for p in kept
-                                         if not _is_sliver(p, chain.degree))
-                        below.extend(Simplex._trusted(p, piece.multiplicity) for p in dropped
-                                     if not _is_sliver(p, chain.degree))
+                        next_rest.extend(Simplex._trusted(p, piece.multiplicity) for p in kept)
+                        below.extend(Simplex._trusted(p, piece.multiplicity) for p in dropped)
                     rest = next_rest
                 pieces.extend(below + rest)
             chain = chain.with_simplices(pieces)
@@ -845,11 +765,3 @@ def dual_boundary_functional(T: SimplicialCurrent):
         return pair_current(T, d_c(c))
 
     return functional
-
-
-def constant_blade_forms(params: HeisParams, grade: int):
-    """All coordinate-blade covectors of a grade, as constant forms."""
-    from .polys import Poly
-
-    one = Poly.const(params.dim, 1)
-    return [PolyForm.single(params, blade, one) for blade in full_blades(params.n, grade)]

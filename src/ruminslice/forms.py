@@ -355,9 +355,13 @@ def gradient_at(params: HeisParams, grad: tuple, p: Point):
 
 
 def random_poly(rng, params: HeisParams, max_degree=3, terms=4, coeff_bound=9) -> Poly:
-    """Seeded random polynomial: integer coefficients in [-bound, bound]."""
+    """Seeded random polynomial: integer coefficients in [-bound, bound].
+
+    Terms are summed into one dict in draw order; a sum that cancels is
+    removed, so the terms come out as from adding one-term polynomials.
+    """
     nvars = params.dim
-    out = Poly.zero(nvars)
+    coeffs = {}
     for _ in range(terms):
         expo = [0] * nvars
         budget = rng.randint(0, max_degree)
@@ -366,8 +370,13 @@ def random_poly(rng, params: HeisParams, max_degree=3, terms=4, coeff_bound=9) -
         coef = 0
         while coef == 0:
             coef = rng.randint(-coeff_bound, coeff_bound)
-        out = out + Poly(nvars, {tuple(expo): Fraction(coef)})
-    return out
+        key = tuple(expo)
+        total = coeffs.get(key, 0) + coef
+        if total:
+            coeffs[key] = Fraction(total)
+        else:
+            del coeffs[key]
+    return Poly._trusted(nvars, coeffs)
 
 
 def random_form(rng, params: HeisParams, grade: int, max_degree=3, terms=2) -> PolyForm:

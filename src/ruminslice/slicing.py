@@ -11,11 +11,15 @@ combinatorially and the result is carried by {f = t}.  Levels hitting a
 vertex raise :class:`DegenerateLevelError` rather than being perturbed
 silently.
 
+Geometry is exact only: ``AffineFunction`` and the level arguments of
+every public function here convert floats exactly (see
+:func:`ruminslice.clipping.exact`), as ``Simplex`` does for chains, so a
+float vertex touches a level only when it equals it.
+
 A simplex whose vertices all lie strictly on one side of the level
 contributes the same faces to both terms, so the formula is applied to
-the sub-chain of simplices the level crosses or touches (a float vertex
-within the half-space tolerance counts as touching): a slice costs in
-the simplices it cuts, not in the size of T.  f is evaluated once per
+the sub-chain of simplices the level crosses or touches: a slice costs
+in the simplices it cuts, not in the size of T.  f is evaluated once per
 vertex of T, and a coarea sweep shares those values and each simplex's
 tangent record (see :mod:`ruminslice.currents`) across all its levels.
 
@@ -27,9 +31,8 @@ alternating in vertex order, and every blade coefficient of the tangent
 is affine in the point, so a k-simplex pairs with dw_B as
 mult * V_B(centroid) / k!: one tangent per simplex of the formula, and
 the mean of the vertex tangents (shared with the mass) for the
-canonical chain.  The residual is exactly 0.0 on exact chains; on float
-chains it measures, up to rounding, the slivers that ``canonical()``
-dropped.
+canonical chain.  The residual is exactly 0.0 whenever the cancellation
+holds, float input included.
 
 Mass bounds and the coarea sweep require the slice dimension k to differ
 from n; requests at k = n raise :class:`MiddleDimensionError`.
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .clipping import HalfSpace
+from .clipping import HalfSpace, exact
 from .currents import (
     SimplicialCurrent,
     _blade_pairings,
@@ -71,12 +74,8 @@ class AffineFunction:
     const: object = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs",
-            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs),
-        )
-        if isinstance(self.const, int):
-            object.__setattr__(self, "const", Fraction(self.const))
+        object.__setattr__(self, "coeffs", tuple(exact(c, "coefficient") for c in self.coeffs))
+        object.__setattr__(self, "const", exact(self.const, "constant"))
         if len(self.coeffs) % 2 != 1 or len(self.coeffs) < 3:
             raise ParameterError("coefficient length must be 2n+1")
 
@@ -146,11 +145,10 @@ class SliceResult:
 
     ``residual`` is the largest discrepancy, over the constant blade
     forms dw_B, between the pairings of the canonical slice chain and of
-    the uncancelled defining combination.  It is exactly 0.0 on exact
-    chains (a nonzero value there would mean ``canonical()`` lost or
-    altered a simplex); on float chains it is, up to rounding, the
-    constant-blade pairing of the degenerate slivers ``canonical()``
-    dropped.  Uncertified slices report 0.0.  ``middle_dimension`` flags
+    the uncancelled defining combination.  Every chain is exact (floats
+    are converted exactly on the way in), so it is exactly 0.0; a nonzero
+    value would mean ``canonical()`` lost or altered a simplex.
+    Uncertified slices report 0.0.  ``middle_dimension`` flags
     slices of dimension k = n, which the mass-bound reports exclude.
     """
 
@@ -222,10 +220,8 @@ def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent, tangents) 
 
     ``chain`` is ``formal.canonical()`` and ``tangents`` its vertex
     tangents; a chain that is not a fixed point of ``canonical()``
-    raises :class:`InternalInvariantError`.  Exact chains give exactly
-    0.0 when the cancellation holds; on float chains the value is, up to
-    rounding, the constant-blade pairing of the slivers ``canonical()``
-    dropped.
+    raises :class:`InternalInvariantError`.  The value is exactly 0.0
+    when the cancellation holds.
     """
     if chain.canonical() != chain:
         raise InternalInvariantError("canonical() is not idempotent on the slice chain")
@@ -238,9 +234,7 @@ def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent, tangents) 
 def _check_on_level(chain: SimplicialCurrent, f: AffineFunction, t):
     for s in chain.simplices:
         for v in s.vertices:
-            value = f(v) - t
-            exact = not isinstance(value, float)
-            if (exact and value != 0) or (not exact and abs(value) > 1e-9):
+            if f(v) != t:
                 raise InternalInvariantError(
                     f"off-level face survived cancellation at {v}"
                 )
@@ -249,25 +243,27 @@ def _check_on_level(chain: SimplicialCurrent, f: AffineFunction, t):
 def slice_plus(T: SimplicialCurrent, f: AffineFunction, t,
                certify: bool = True) -> SliceResult:
     """<T,f,t+> at a generic level, with cancellation certificate."""
-    return _slice(T, f, t, "+", certify=certify)
+    return _slice(T, f, exact(t, "level"), "+", certify=certify)
 
 
 def slice_minus(T: SimplicialCurrent, f: AffineFunction, t,
                 certify: bool = True) -> SliceResult:
     """<T,f,t-> at a generic level."""
-    return _slice(T, f, t, "-", certify=certify)
+    return _slice(T, f, exact(t, "level"), "-", certify=certify)
 
 
 def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
     """mu_T({t < f < t + h}), by exact clipping; h > 0."""
-    if not h > 0:
+    t, width = exact(t, "level"), exact(h, "band width")
+    if not width > 0:
         raise ParameterError(f"band width must be positive, got {h}")
-    return measure_between(T, f, t, t + h)
+    return measure_between(T, f, t, t + width)
 
 
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
     """mu_T({lo < f < hi}), by exact clipping."""
-    return _measure_between(T, f, lo, hi, _level_table(T, f), {})
+    return _measure_between(T, f, exact(lo, "level"), exact(hi, "level"),
+                            _level_table(T, f), {})
 
 
 def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, parents):
@@ -278,6 +274,7 @@ def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, par
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
     """Lip(f) * mu_T({t < f < t+h}) / h, the mass bound for <T,f,t+>."""
+    h = exact(h, "band width")
     lip = f.lipschitz_constant()
     return lip * band_measure(T, f, t, h) / h
 
@@ -293,6 +290,8 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
         raise MiddleDimensionError(
             "mass bounds for slices of the middle dimension k = n are an open case"
         )
+    t = exact(t, "level")
+    h_values = [exact(h, "band width") for h in h_values]
     result = slice_plus(T, f, t)
     m_slice = result.mass
     rows = []
@@ -338,10 +337,10 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         )
     if grid < 1:
         raise ParameterError("grid must have at least one point")
+    a, b = exact(a, "level"), exact(b, "level")
     if not a < b:
         raise ParameterError("need a < b")
-    exact = not any(isinstance(v, float) for v in (a, b))
-    width = (Fraction(b) - Fraction(a)) / grid if exact else (b - a) / grid
+    width = (b - a) / grid
     lip = f.lipschitz_constant()
     # f at the vertices and the tangent records of the simplices, shared
     # by every slice and cell of this sweep
@@ -350,10 +349,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     rows = []
     masses = []
     for i in range(grid):
-        if exact:
-            t = Fraction(a) + width * Fraction(2 * i + 1, 2)
-        else:
-            t = a + width * (2 * i + 1) / 2.0
+        t = a + width * Fraction(2 * i + 1, 2)
         m_slice = _slice(T, f, t, "+", certify=False, table=table).mass
         lo = t - width / 2
         cell = _measure_between(T, f, lo, lo + width, table, parents)
@@ -445,6 +441,11 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     dimension equals n, and raise :class:`MiddleDimensionError` when
     explicitly requested via ``properties``.
     """
+    t_samples = [exact(t, "level") for t in t_samples]
+    h_values = [exact(h, "band width") for h in h_values]
+    if sweep is not None:
+        a, b, grid = sweep
+        sweep = (exact(a, "level"), exact(b, "level"), grid)
     k = T.degree - 1
     n = T.params.n
     middle = k == n
@@ -488,9 +489,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         for t, result in plus_results.items():
             for s in result.chain.simplices:
                 for v in s.vertices:
-                    delta = f(v) - t
-                    off_level = abs(delta) > 1e-12 if isinstance(delta, float) else delta != 0
-                    if off_level or not _point_in_chain(T, v):
+                    if f(v) != t or not _point_in_chain(T, v):
                         bad.append((t, v))
         entries.append(PropertyEntry(
             "P2", "FAIL" if bad else "PASS",

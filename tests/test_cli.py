@@ -96,6 +96,39 @@ class TestSliceCommand:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("level", ["1e-4400", "1" * 1001, "9" * 990 + "e+11"],
+                             ids=["huge exponent", "1001 digits", "digits plus exponent"])
+    def test_oversized_level_literal_exits_2(self, capsys, level):
+        segment = str(FIXTURES / "segment_h1.json")
+        with pytest.raises(SystemExit) as err:
+            main(["slice", "--chain", segment, "--f", "x1", "--t", level])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --t: literal of" in captured.err
+        assert "the limit is 1000" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_oversized_sweep_bound_exits_2(self, capsys, flag):
+        bounds = {"--a": "0", "--b": "1"}
+        bounds[flag] = "1e-4400"
+        with pytest.raises(SystemExit) as err:
+            main(["coarea", "--chain", CUBE, "--f", "x1", "--a", bounds["--a"],
+                  "--b", bounds["--b"], "--grid", "2"])
+        assert err.value.code == 2
+        assert f"argument {flag}: literal of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level,shown", [
+        ("1/3", "1/3"), ("0.25", "1/4"), ("2e-3", "1/500"),
+        ("1" * 1000 + "/" + "3" * 1000, "1/3"),
+    ], ids=["fraction", "decimal", "exponent", "1000 digits each side"])
+    def test_level_literals_within_the_cap(self, capsys, level, shown):
+        segment = str(FIXTURES / "segment_h1.json")
+        assert main(["slice", "--chain", segment, "--f", "x1", "--t", level]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"slice side + at t = {shown}"
+
     @pytest.mark.parametrize("payload", [
         "[]",
         '{"version": "rumin-slice/1", "n": 1, "degree": 1,'

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import constant_blade_forms
+
 from ruminslice import (
     AdmissibilityError,
     GammaWeight,
@@ -29,7 +31,6 @@ from ruminslice import (
     rumin_class,
     wedge_forms,
 )
-from ruminslice.currents import constant_blade_forms
 from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.forms import PolyForm, random_form
 from ruminslice.polys import Poly

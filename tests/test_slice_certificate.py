@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, constant_blade_forms
 from test_sweep_kernel import cube_mesh, float_near_plane
 
 from ruminslice import (
@@ -33,8 +33,6 @@ from ruminslice import (
 from ruminslice import slicing
 from ruminslice.currents import (
     _chain_tangents,
-    _has_float,
-    constant_blade_forms,
     pair_forms_batch,
 )
 from ruminslice.formio import load_chain
@@ -226,27 +224,29 @@ def blade_pairing_magnitude(T):
     return max(abs(float(v)) for v in pair_forms_batch(T, forms))
 
 
-def dropped_slivers(formal):
-    return formal.with_simplices(
-        s for s in formal.simplices if _has_float(s.vertices) and s.degenerate())
+def segment_chain(params, vertices, multiplicity):
+    return SimplicialCurrent(params, 1, [Simplex(vertices, multiplicity)])
 
 
 @pytest.mark.parametrize("t", [0.5 + 1e-3, 0.25, 0.5 + 5e-12])
 def test_float_residual_is_the_dropped_slivers_pairing(certified, t):
-    # vertices of the chain sit within the tolerance of x1 = 1/2
+    # vertices of the chain sit within 1e-14 of x1 = 1/2; converted
+    # exactly, no clip piece or face is a sliver, canonical() drops nothing
+    # and the residual is exactly 0.0, as on exact chains
     T = float_near_plane(0.5)
     f = AffineFunction((1.0, 0.0, 0.0))
     result = slice_plus(T, f, t)
     chain, formal, residual = certified[-1]
-    assert residual == result.residual
-    assert residual == pytest.approx(blade_pairing_magnitude(dropped_slivers(formal)), abs=1e-12)
+    assert residual == result.residual == 0.0
+    assert not any(s.degenerate() for s in formal.simplices)
+    assert_battery_agrees(chain, formal)
 
-    # a sliver on the level, degenerate by the Gram tolerance but with a
-    # pairing far above rounding, is dropped by canonical() and measured
-    sliver = Simplex._trusted(((t, 1.0, 0.5), (t, 1.0 + 1e-8, 0.5)), 1.0)
-    with_sliver = formal.with_simplices(formal.simplices + (sliver,))
-    assert with_sliver.canonical() == chain
-    expected = blade_pairing_magnitude(dropped_slivers(with_sliver))
+    # a segment on the level only 1e-8 long is exact and nondegenerate:
+    # canonical() keeps it, and the certificate measures exactly its pairing
+    sliver = ((t, 1.0, 0.5), (t, 1.0 + 1e-8, 0.5))
+    extra = segment_chain(formal.params, sliver, 1.0)
+    with_sliver = formal + extra
+    assert with_sliver.canonical() != chain
+    expected = blade_pairing_magnitude(extra)
     assert expected > 1e-10
-    got = slicing._certificate(chain, with_sliver, _chain_tangents(chain))
-    assert got == pytest.approx(expected, abs=1e-12)
+    assert slicing._certificate(chain, with_sliver, _chain_tangents(chain)) == expected

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import constant_blade_forms
+
 from ruminslice import (
     DegenerateLevelError,
     GammaWeight,
@@ -34,7 +36,6 @@ from ruminslice.slicing import (
     coarea_sweep,
     property_report,
 )
-from ruminslice.currents import constant_blade_forms
 
 F = Fraction
 

@@ -1,13 +1,13 @@
 """The sweep-aware level-set kernel against the full-chain formula.
 
 The oracles below are the direct paths: split a simplex by recomputing
-every sub-simplex's half-space values, drop slivers by the Gram rank test
-of each piece, slice by ``(dT)|{f>t} - d(T|{f>t})`` over the whole chain,
-and measure a region as the mass of the restricted chain with every piece
+every sub-simplex's half-space values, drop slivers by the rank test of
+each piece, slice by ``(dT)|{f>t} - d(T|{f>t})`` over the whole chain, and
+measure a region as the mass of the restricted chain with every piece
 tangent wedged afresh.  Crossing-only slices must be canonically identical
-to the oracle; on exact chains measures must be the same Fractions (or the
-same floats, where a norm is irrational), and on float chains they must
-agree to a relative 1e-12.
+to the oracle, and measures must be the same Fractions (or the same
+floats, where a norm is irrational).  Float input is converted exactly by
+the public constructors, so float chains are held to the same standard.
 """
 
 from __future__ import annotations
@@ -47,17 +47,12 @@ F = Fraction
 
 def oracle_split(vertices, hs):
     """split_simplex with every sub-simplex's values recomputed."""
-    tol = hs.float_tolerance()
     kept, dropped = [], []
     stack = [tuple(vertices)]
     while stack:
         simplex = stack.pop()
         values = [hs.value(v) for v in simplex]
-        signs = [
-            (0 if abs(v) <= tol else (1 if v > 0 else -1)) if isinstance(v, float)
-            else (0 if v == 0 else (1 if v > 0 else -1))
-            for v in values
-        ]
+        signs = [0 if v == 0 else (1 if v > 0 else -1) for v in values]
         has_pos = any(s > 0 for s in signs)
         has_neg = any(s < 0 for s in signs)
         if not (has_pos and has_neg):
@@ -147,7 +142,7 @@ def tilted_triangles():
 
 
 def float_near_plane(level):
-    """A float chain whose vertices sit within the tolerance of x1 = level."""
+    """A float chain with vertices within 1e-14 of x1 = level, and one on it."""
     params = HeisParams(1)
     eps = 1e-14
     return SimplicialCurrent(params, 2, [
@@ -175,18 +170,26 @@ def test_split_matches_oracle_with_and_without_values(op):
 
 
 def test_split_float_vertices_on_the_plane():
+    # converted exactly (as Simplex converts them), vertices 1e-14 off the
+    # plane lie strictly on their sides, and both of their edges are cut
     hs = HalfSpace((1.0, 0.0, 0.0), 0.5, ">")
-    vertices = [(0.5 + 1e-14, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.5 - 1e-14, 2.0, 0.0)]
+    vertices = Simplex([(0.5 + 1e-14, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0),
+                        (0.5 - 1e-14, 2.0, 0.0)]).vertices
     values = [hs.value(v) for v in vertices]
-    assert hs.sides(values) == (0, -1, 1, 0)
-    assert split_simplex(vertices, hs, values) == split_simplex(vertices, hs) \
-        == oracle_split(vertices, hs)
+    assert hs.sides(values) == (1, -1, 1, -1)
+    kept, dropped = split_simplex(vertices, hs, values)
+    assert (kept, dropped) == split_simplex(vertices, hs) == oracle_split(vertices, hs)
+    assert (len(kept), len(dropped)) == (3, 3)
+    assert all(hs.value(v) >= 0 for piece in kept for v in piece)
+    assert all(hs.value(v) <= 0 for piece in dropped for v in piece)
+    assert not any(_is_degenerate(piece, 3) for piece in kept + dropped)
 
 
 def test_sides_rule():
     hs = HalfSpace((F(1), F(0), F(0)), F(0), ">")
     assert hs.sides([F(1), F(0), F(-1, 3)]) == (1, 0, -1)
-    assert hs.sides([1e-13, -1e-13, 1e-6, -1e-6]) == (0, 0, 1, -1)
+    # exact signs, with no tolerance band around the plane
+    assert hs.sides([1e-13, -1e-13, 1e-6, -1e-6]) == (1, -1, 1, -1)
 
 
 # -- crossing-only slices -----------------------------------------------------
@@ -251,14 +254,18 @@ def test_float_chain_slices_near_the_plane():
     T = float_near_plane(0.5)
     f = AffineFunction((1.0, 0.0, 0.0))
     for t in (0.5 + 1e-3, 0.25):
-        got = slice_plus(T, f, t).chain
-        want = oracle_slice(T, f, t, "+")
-        assert got == want
+        result = slice_plus(T, f, t)
+        assert result.chain == oracle_slice(T, f, t, "+")
+        assert result.chain == slice_minus(T, f, t).chain
+        assert len(result.chain.simplices) == 2
+        assert result.residual == 0.0
+        assert all(f(v) == F(t) for s in result.chain.simplices for v in s.vertices)
 
 
 def test_float_face_within_tolerance_of_the_level():
-    # the shared edge lies on x1 = 1/2 up to 1e-14, so neither triangle
-    # crosses the level strictly; both touch it, and the edge is the slice
+    # the shared edge lies on x1 = 1/2 up to 1e-14; converted exactly, its
+    # ends are strictly on either side, so the level crosses both triangles
+    # and the slice is two segments that meet on the shared edge
     low, high = 0.5 - 1e-14, 0.5 + 1e-14
     T = SimplicialCurrent(HeisParams(1), 2, [
         Simplex(((high, 0.0, 0.0), (low, 1.0, 0.25), (0.9, 0.5, 0.1)), 1.0),
@@ -267,8 +274,10 @@ def test_float_face_within_tolerance_of_the_level():
     f = AffineFunction((1.0, 0.0, 0.0))
     plus = slice_plus(T, f, 0.5).chain
     assert plus == oracle_slice(T, f, 0.5, "+")
-    assert len(plus.simplices) == 1
-    assert slice_minus(T, f, 0.5).chain == oracle_slice(T, f, 0.5, "-")
+    assert len(plus.simplices) == 2
+    assert slice_minus(T, f, 0.5).chain == oracle_slice(T, f, 0.5, "-") == plus
+    shared = set(plus.simplices[0].vertices) & set(plus.simplices[1].vertices)
+    assert shared == {(F(1, 2), F(1, 2), F(1, 8))}
 
 
 @settings(max_examples=25, deadline=None)
@@ -322,8 +331,7 @@ def test_float_measure_near_the_plane(level):
     T = float_near_plane(level)
     f = AffineFunction((1.0, 0.0, 0.0))
     for lo, hi in ((level, level + 0.5), (level - 0.25, level), (-1.0, level + 1e-14)):
-        assert measure_between(T, f, lo, hi) == pytest.approx(
-            oracle_between(T, f, lo, hi), rel=1e-12, abs=1e-15)
+        assert measure_between(T, f, lo, hi) == oracle_between(T, f, lo, hi)
 
 
 def test_measure_of_open_and_closed_planes():
