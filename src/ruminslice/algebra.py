@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GradeMismatchError, ParameterError
+from .linalg import det
 
 THETA_OFFSET = 1  # theta / T is always the last frame index, dim - 1
 
@@ -178,6 +179,23 @@ def wedge(a, b):
     return type(a)(a.dim, grade, out)
 
 
+def wedge_vectors(dim: int, vectors) -> dict:
+    """Blade coefficients of v_1 ^ ... ^ v_k for coordinate vectors of length dim.
+
+    The coefficient on blade B is the k x k minor of the rows B of the
+    matrix whose columns are the vectors.  Vanishing minors are left out,
+    so the result is empty exactly when the vectors are linearly
+    dependent; no vectors give {(): 1}.
+    """
+    vectors = tuple(vectors)
+    out = {}
+    for blade in all_blades(dim, len(vectors)):
+        minor = det([[v[i] for v in vectors] for i in blade])
+        if minor != 0:
+            out[blade] = minor
+    return out
+
+
 def pair(w: Covector, v: MultiVector):
     """Duality pairing <w | v>; blades pair to Kronecker delta."""
     if not isinstance(w, Covector) or not isinstance(v, MultiVector):
@@ -246,11 +264,7 @@ class SimpleVectorSample:
         self.columns = columns
 
     def to_multivector(self) -> MultiVector:
-        result = MultiVector.blade(self.dim, ())
-        for col in self.columns:
-            grade_one = MultiVector(self.dim, 1, {(i,): c for i, c in enumerate(col) if c != 0})
-            result = wedge(result, grade_one)
-        return result
+        return MultiVector(self.dim, len(self.columns), wedge_vectors(self.dim, self.columns))
 
 
 def _random_orthonormal(rng, dim: int, k: int):

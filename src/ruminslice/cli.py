@@ -124,13 +124,14 @@ def _cmd_slice(args) -> int:
     chain, f = _load(args)
     result = slice_minus(chain, f, args.t) if args.minus else slice_plus(chain, f, args.t)
     side = "-" if args.minus else "+"
+    # built first: a chain that cannot be written fails before any output
+    payload = json.dumps(chain_to_dict(result.chain), indent=1)
     print(f"slice side {side} at t = {args.t}")
     print(f"simplices {len(result.chain.simplices)}")
     print(f"mass {float(result.mass):.12g}")
     print(f"residual {result.residual:.3e}")
     if result.middle_dimension:
         print("note: k = n slice; excluded from mass-bound reports (open middle-dimension case)")
-    payload = json.dumps(chain_to_dict(result.chain), indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")

@@ -3,10 +3,12 @@
 A degree-k current is a finite list of k-simplices in R^(2n+1) with
 rational multiplicities.  ``Simplex`` converts float coordinates and
 multiplicities exactly (see :func:`ruminslice.clipping.exact`), so every
-chain is exact.  Writing e_1..e_k for the edge vectors of a simplex, the
-tangent k-vector at a point p is the wedge of the frame images
-frame_change(p, e_i); the pairing with a polynomial form and the induced
-measure are
+chain is exact.  Writing e_1..e_k for the edge vectors of a simplex, its
+coordinate k-vector is E = e_1 ^ ... ^ e_k, held as {blade: k x k minor
+of the edges} (see :func:`ruminslice.algebra.wedge_vectors`); a simplex
+is degenerate when E is empty.  The tangent k-vector V(p) at a point p
+is the wedge of the frame images frame_change(p, e_i); the pairing with
+a polynomial form and the induced measure are
 
     T(omega)  = sum_S mult(S) * int_S <omega(p) | V(p)> ds,
     mu_T(A)   = sum_S |mult(S)| * int_(S cap A) |V(p)| ds,
@@ -16,23 +18,22 @@ roots enter the pairing, and polynomial integrands are integrated
 exactly by the Grundmann-Moller rules).  |V(p)| is the frame l2 norm;
 exact square roots are kept rational when possible.
 
-The frame change moves only the T coefficient of a vector, by an amount
-affine in p, and every blade holds T at most once; so each blade
+V(p) is E pushed through the frame change at p.  The frame change fixes
+T and adds shift_b(p) T to each coordinate vector e_b, where shift_b(p)
+is the T coefficient of frame_change(p, e_b), linear in p.  So a blade
+of E that holds T stays fixed, and any other blade B adds, for each
+index b in B, +-shift_b(p) E_B to B with b swapped for T: every blade
 coefficient of V(p) is affine in p.  The tangent at a quadrature node
 with barycentric weights lambda is therefore sum_i lambda_i V(v_i),
-exactly: the k+1 vertex tangents are the only wedges computed per
-simplex.  A batch of forms is paired through a per-simplex moment table
-(see :func:`pair_forms_batch`), one pass over the nodes for the whole
-batch.
+exactly, and E is framed only at the k+1 vertices (at the centroid for
+the constant blade pairings).  A batch of forms is paired through a
+per-simplex moment table (see :func:`pair_forms_batch`), one pass over
+the nodes for the whole batch.
 
-A clip piece lies in its parent's affine k-plane, so its edges are the
-parent's edges times a k x k matrix A and V_piece(p) = det(A) V_parent(p);
-det(A) is the ratio of one nonvanishing coordinate k x k minor of the
-piece's edges to the same minor of the parent's.  Restriction and the
-measure of half-space regions therefore wedge nothing per piece: the
-piece's vertex tangents are det(A) times the parent's tangent field,
-interpolated at the piece's vertices.  A cut point lies strictly inside
-its edge, so det(A) never vanishes and no clip piece is degenerate.
+A clip piece is measured like any simplex, from its own E, so
+restriction and the measure of half-space regions need nothing from the
+parent but its vertices.  A cut point lies strictly inside its edge, so
+no clip piece is degenerate.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .algebra import Covector, MultiVector, pair, wedge
+from . import linalg
+from .algebra import MultiVector, pair, wedge_vectors
 from .clipping import HalfSpace, exact, split_simplex
 from .errors import (
     AdmissibilityError,
@@ -54,47 +55,14 @@ from .errors import (
 from .forms import PolyForm
 from .heis import HeisParams, Point, frame_change
 from .quadrature import parameter_nodes, rule_for_degree
-from .rumin import RuminClass, _ideal_matrix, full_blades
+from .rumin import RuminClass, _generator_columns, full_blades
 
 DEFAULT_QUADRATURE_DEGREE = 5
 
 
-def _det(rows):
-    """Determinant of a small square matrix of Fractions."""
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if size == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum((-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j in range(size) if rows[0][j] != 0)
-
-
-def _minor(vertices, rows):
-    """The coordinate minor on axes ``rows`` of the edges from vertex 0."""
-    base = vertices[0]
-    return _det([[v[axis] - base[axis] for v in vertices[1:]] for axis in rows])
-
-
-def _first_minor(vertices, degree: int):
-    """(axes, minor) for the first ``degree`` coordinate axes, in
-    lexicographic order, on which the edges have a nonzero minor; None
-    when the vertices do not span an affine ``degree``-plane."""
-    for rows in combinations(range(len(vertices[0])), degree):
-        minor = _minor(vertices, rows)
-        if minor != 0:
-            return rows, minor
-    return None
-
-
-def _is_degenerate(vertices, degree: int) -> bool:
-    """True when the vertices do not span an affine ``degree``-plane."""
-    return _first_minor(vertices, degree) is None
+def _edge_kvector(simplex) -> dict:
+    """E = e_1 ^ ... ^ e_k of the simplex's edges, as {blade: minor}."""
+    return wedge_vectors(len(simplex.vertices[0]), simplex.edges())
 
 
 @dataclass(frozen=True)
@@ -134,7 +102,8 @@ class Simplex:
         return len(self.vertices) - 1
 
     def degenerate(self) -> bool:
-        return _is_degenerate(self.vertices, self.degree)
+        """True when the vertices do not span an affine ``degree``-plane."""
+        return not _edge_kvector(self)
 
     def edges(self) -> tuple:
         base = self.vertices[0]
@@ -248,16 +217,43 @@ def _permutation_sign(order) -> int:
 # -- tangents ---------------------------------------------------------------
 
 
-def tangent_at(params: HeisParams, simplex: Simplex, coords) -> MultiVector:
-    """Wedge of frame images of the edge vectors at the given point."""
+@lru_cache(maxsize=None)
+def _frame_moves(n: int, blade: tuple) -> tuple:
+    """(b, sign, target) for each index b of a blade that lacks T.
+
+    Framed at p, e_b becomes e_b + shift_b(p) T, so the blade e_B gains
+    shift_b(p) times e_B with e_b replaced by T; ``target`` is that
+    blade sorted (T is the last index) and ``sign`` the parity of moving
+    T from b's place to the end.  A blade holding T has no moves: the T
+    parts of its other vectors wedge to zero against T.
+    """
+    top = 2 * n
+    if top in blade:
+        return ()
+    last = len(blade) - 1
+    return tuple((b, -1 if (last - i) % 2 else 1, blade[:i] + blade[i + 1:] + (top,))
+                 for i, b in enumerate(blade))
+
+
+@lru_cache(maxsize=None)
+def _horizontal_units(n: int) -> tuple:
+    dim = 2 * n + 1
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(2 * n))
+
+
+def _framed(n: int, kvector: dict, coords) -> dict:
+    """The coordinate k-vector ``kvector`` framed at ``coords``: V(p) from E."""
     point = Point.from_coords(coords)
-    result = MultiVector.blade(params.dim, ())
-    for edge in simplex.edges():
-        framed = frame_change(point, edge)
-        grade_one = MultiVector(params.dim, 1,
-                                {(i,): c for i, c in enumerate(framed) if c != 0})
-        result = wedge(result, grade_one)
-    return result
+    units = _horizontal_units(n)
+    shifts = {}
+    out = dict(kvector)
+    for blade, c in kvector.items():
+        for b, sign, target in _frame_moves(n, blade):
+            if b not in shifts:
+                shifts[b] = frame_change(point, units[b])[-1]
+            if shifts[b]:
+                out[target] = out.get(target, 0) + sign * shifts[b] * c
+    return {b: c for b, c in out.items() if c != 0}
 
 
 def sqrt_exact_or_float(value):
@@ -274,7 +270,11 @@ def sqrt_exact_or_float(value):
 
 def _vertex_tangents(params: HeisParams, simplex: Simplex) -> list:
     """Blade coefficients of the tangent at each vertex, in vertex order."""
-    return [tangent_at(params, simplex, v).coeffs for v in simplex.vertices]
+    kvector = _edge_kvector(simplex)
+    if not any(_frame_moves(params.n, blade) for blade in kvector):
+        # every blade holds T (or E is 1 or 0): V(p) = E everywhere
+        return [kvector] * len(simplex.vertices)
+    return [_framed(params.n, kvector, v) for v in simplex.vertices]
 
 
 def _constant_tangent(vertex_tangents):
@@ -397,28 +397,23 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
     return totals
 
 
-@lru_cache(maxsize=None)
-def _contact_generators(n: int, k: int) -> tuple:
-    """The theta ^ blade and dtheta ^ blade generators of grade k."""
-    rows, _ = _ideal_matrix(n, k)
-    blades = full_blades(n, k)
-    return tuple(
-        Covector(2 * n + 1, k, dict(zip(blades, column))) for column in zip(*rows)
-    )
-
-
 def is_admissible(V: MultiVector, n: int) -> bool:
     """True iff V annihilates the contact ideal generators at its grade.
 
-    Defined for grades k <= n; such tangents make the pairing with
-    quotient classes independent of the representative.
+    The generators theta ^ blade and dtheta ^ blade are the columns of
+    :func:`ruminslice.rumin._generator_columns` over the k-blades, dotted
+    with V's blade vector.  Defined for grades k <= n; such tangents make
+    the pairing with quotient classes independent of the representative.
     """
     k = V.grade
     if k > n:
         raise ParameterError(f"admissibility is defined for grades <= n, got {k}")
     if k == 0:
         return True
-    return all(pair(phi, V) == 0 for phi in _contact_generators(n, k))
+    columns = (_generator_columns(n, "theta", k - 1, False)
+               + _generator_columns(n, "dtheta", k - 2, False))
+    vector = [V.coeffs.get(blade, 0) for blade in full_blades(n, k)]
+    return not any(linalg.mat_vec(columns, vector))
 
 
 def pair_current(T: SimplicialCurrent, c: RuminClass):
@@ -446,8 +441,9 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     return pair_form(T, omega)
 
 
-def _simplex_mass(simplex: Simplex, vertex_tangents, quadrature_degree: int):
-    """int_S |V(p)| ds for one simplex, from its vertex tangents."""
+def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
+    """int_S |V(p)| ds for one simplex."""
+    vertex_tangents = _vertex_tangents(params, simplex)
     constant = _constant_tangent(vertex_tangents)
     if constant is not None:
         return _tangent_norm(constant) * _parameter_volume(simplex.degree)
@@ -457,112 +453,33 @@ def _simplex_mass(simplex: Simplex, vertex_tangents, quadrature_degree: int):
     return acc
 
 
-def _chain_tangents(T: SimplicialCurrent) -> list:
-    """:func:`_vertex_tangents` of every simplex of T, in simplex order."""
-    return [_vertex_tangents(T.params, s) for s in T.simplices]
-
-
-def _mass(T: SimplicialCurrent, tangents):
-    """M(T) from the output of :func:`_chain_tangents`."""
+def mass(T: SimplicialCurrent):
+    """M(T): total measure; exact Fraction when every root closes in Q."""
     total = Fraction(0)
-    for s, vertex_tangents in zip(T.simplices, tangents):
-        acc = _simplex_mass(s, vertex_tangents, T.quadrature_degree)
-        total = total + abs(s.multiplicity) * acc
+    for s in T.simplices:
+        total = total + abs(s.multiplicity) * _simplex_mass(T.params, s, T.quadrature_degree)
     return total
 
 
-def mass(T: SimplicialCurrent):
-    """M(T): total measure; exact Fraction when every root closes in Q."""
-    return _mass(T, _chain_tangents(T))
-
-
-def _blade_pairings(T: SimplicialCurrent, tangents=None) -> dict:
+def _blade_pairings(T: SimplicialCurrent) -> dict:
     """T(dw_B) for the constant blade forms dw_B, keyed by blade B.
 
     V_B is affine in the point, so int_S V_B ds = V_B(centroid) / k!,
-    exactly.  With ``tangents`` (from :func:`_chain_tangents`) the
-    centroid tangent is the mean of the vertex tangents; without, it is
-    one :func:`tangent_at` at the centroid.  Blades absent from the
+    exactly: one framing of E per simplex.  Blades absent from the
     result pair to zero.
     """
     corners = T.degree + 1
     volume = _parameter_volume(T.degree)
     totals = {}
-    for index, s in enumerate(T.simplices):
-        if tangents is None:
-            centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
-            at_centroid = tangent_at(T.params, s, centroid).coeffs
-            weight = s.multiplicity * volume
-        else:
-            at_centroid = {}
-            for tangent in tangents[index]:
-                for b, c in tangent.items():
-                    at_centroid[b] = at_centroid.get(b, 0) + c
-            weight = s.multiplicity * volume / corners
-        for b, c in at_centroid.items():
+    for s in T.simplices:
+        centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
+        weight = s.multiplicity * volume
+        for b, c in _framed(T.params.n, _edge_kvector(s), centroid).items():
             totals[b] = totals.get(b, 0) + weight * c
     return totals
 
 
-# -- clipping with inherited tangents -----------------------------------------
-
-
-class _Parent:
-    """What the clip pieces of one simplex inherit from it.
-
-    ``rows`` are the first k coordinate axes on which the edges have a
-    nonzero minor ``minor``.  The vertex tangents and the whole mass are
-    computed on first use.
-    """
-
-    __slots__ = ("params", "simplex", "rows", "minor", "_tangents", "_mass")
-
-    def __init__(self, params: HeisParams, simplex: Simplex):
-        self.params = params
-        self.simplex = simplex
-        self.rows, self.minor = _first_minor(simplex.vertices, simplex.degree)
-        self._tangents = None
-        self._mass = None
-
-    def tangents(self) -> list:
-        if self._tangents is None:
-            self._tangents = _vertex_tangents(self.params, self.simplex)
-        return self._tangents
-
-    def mass(self, quadrature_degree: int):
-        if self._mass is None:
-            self._mass = _simplex_mass(self.simplex, self.tangents(), quadrature_degree)
-        return self._mass
-
-    def ratio(self, piece):
-        """det(A) of a piece lying in this simplex's k-plane."""
-        return _minor(piece, self.rows) / self.minor
-
-    def piece_tangents(self, piece, ratio) -> list:
-        """ratio * V_parent at each vertex of the piece, interpolated."""
-        tangents = self.tangents()
-        constant = _constant_tangent(tangents)
-        if constant is not None:
-            scaled = {b: ratio * c for b, c in constant.items()}
-            return [scaled] * len(piece)
-        blades = dict.fromkeys(b for tangent in tangents for b in tangent)
-        vertices = self.simplex.vertices
-        origin = vertices[0]
-        columns = [[v[axis] - origin[axis] for v in vertices[1:]] for axis in self.rows]
-        out = []
-        for w in piece:
-            offset = [w[axis] - origin[axis] for axis in self.rows]
-            # barycentric coordinates of w by Cramer's rule on the minor
-            mu = [_det([row[:j] + [o] + row[j + 1:] for row, o in zip(columns, offset)])
-                  / self.minor for j in range(self.simplex.degree)]
-            lam = [1 - sum(mu)] + mu
-            tangent = {}
-            for b in blades:
-                c = ratio * sum(l * v.get(b, 0) for l, v in zip(lam, tangents))
-                if c != 0:
-                    tangent[b] = c
-            out.append(tangent)
-        return out
+# -- clipping ---------------------------------------------------------------
 
 
 def _clip_pieces(vertices, halfspaces, values=None) -> list:
@@ -589,33 +506,30 @@ def _halfspace_list(halfspaces) -> list:
     return [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
 
 
-def _clipped_measure(T: SimplicialCurrent, halfspaces, values=None, parents=None):
+def _clipped_measure(T: SimplicialCurrent, halfspaces, values=None, whole=None):
     """mu_T of an intersection of half-spaces: M(restrict_to_set(T, halfspaces)).
 
     A simplex that no plane cuts contributes its whole mass or nothing;
-    a piece of a cut simplex has the tangent det(A) V_parent (see
-    :class:`_Parent`), so no wedge is computed per piece.  ``values`` is
-    as for :func:`_clip_pieces`; ``parents`` maps simplex indices to the
-    :class:`_Parent` records shared by the calls of one sweep.
+    a clip piece is measured from its own coordinate k-vector.  ``values``
+    is as for :func:`_clip_pieces`; ``whole`` maps simplex indices to
+    their whole masses, shared by the calls of one sweep.
     """
     halfspaces = _halfspace_list(halfspaces)
-    if parents is None:
-        parents = {}
+    if whole is None:
+        whole = {}
     total = Fraction(0)
     for index, s in enumerate(T.simplices):
         pieces = _clip_pieces(s.vertices, halfspaces, values)
         if not pieces:
             continue
-        parent = parents.get(index)
-        if parent is None:
-            parent = parents[index] = _Parent(T.params, s)
         weight = abs(s.multiplicity)
         if len(pieces) == 1 and pieces[0] == s.vertices:
-            total = total + weight * parent.mass(T.quadrature_degree)
+            if index not in whole:
+                whole[index] = _simplex_mass(T.params, s, T.quadrature_degree)
+            total = total + weight * whole[index]
             continue
         for piece in pieces:
-            tangents = parent.piece_tangents(piece, parent.ratio(piece))
-            acc = _simplex_mass(Simplex._trusted(piece, s.multiplicity), tangents,
+            acc = _simplex_mass(T.params, Simplex._trusted(piece, s.multiplicity),
                                 T.quadrature_degree)
             total = total + weight * acc
     return total

@@ -20,7 +20,10 @@ Integer literals, in expressions and in chain files (each of p and q, and
 JSON integers), may have at most ``MAX_LITERAL_DIGITS`` digits.  The
 length is checked on the text before any conversion, so a longer literal
 is a :class:`ParameterError` (:class:`ChainFormatError` in a chain file),
-not the ValueError Python raises past its own 4300-digit limit.
+not the ValueError Python raises past its own 4300-digit limit.  Exact
+arithmetic can still grow a computed coordinate past that limit (a cut
+point of coordinates near the cap); writing such a chain raises
+:class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -334,6 +337,13 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
+def _rational_text(value) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # past Python's int-string limit
+        raise ParameterError(f"cannot write a chain coordinate: {exc}") from exc
+
+
 def chain_to_dict(T: SimplicialCurrent) -> dict:
     vertex_index = {}
     vertices = []
@@ -344,9 +354,9 @@ def chain_to_dict(T: SimplicialCurrent) -> dict:
             key = tuple(v)
             if key not in vertex_index:
                 vertex_index[key] = len(vertices)
-                vertices.append([str(c) for c in key])
+                vertices.append([_rational_text(c) for c in key])
             indices.append(vertex_index[key])
-        simplices.append({"vertices": indices, "multiplicity": str(s.multiplicity)})
+        simplices.append({"vertices": indices, "multiplicity": _rational_text(s.multiplicity)})
     return {
         "version": CHAIN_VERSION,
         "n": T.params.n,

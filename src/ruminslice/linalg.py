@@ -3,7 +3,8 @@
 Matrices are lists of row lists.  Sizes here are tiny (dimensions of
 blade spaces), so plain Gaussian elimination is plenty: :func:`rref` is
 the one Gauss-Jordan routine, and :func:`solve`, :func:`invert` and
-:func:`nullspace` read their answers off its output.  The Rumin
+:func:`nullspace` read their answers off its output.  :func:`det` expands
+the k x k minors of a simplex's edges (k <= 2n+1).  The Rumin
 operators multiply by mostly-zero matrices (the Lefschetz middle inverse
 and the primitive projection), so they keep them as :func:`sparse_rows`
 and multiply with :func:`sparse_mat_vec`, which gives the same Fractions
@@ -78,6 +79,22 @@ def invert(rows):
     if len(pivots) != n:
         raise ValueError("singular matrix")
     return [row[n:] for row in work]
+
+
+def det(rows):
+    """Determinant of a small square matrix, by cofactors along the first row."""
+    size = len(rows)
+    if size == 0:
+        return Fraction(1)
+    if size == 1:
+        return rows[0][0]
+    if size == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum((-1) ** j * rows[0][j] * det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(size) if rows[0][j] != 0)
 
 
 def mat_vec(rows, vec):

@@ -87,41 +87,19 @@ def _generator_columns(n: int, generator: str, grade: int, horizontal: bool) -> 
     return tuple(columns)
 
 
-class LefschetzSolver:
-    """Exact matrices of L: horizontal a-forms -> (a+2)-forms, per degree.
-
-    The middle-bidegree matrix (a = n-1) is square and invertible; its
-    inverse is computed once and reused for every monomial solve.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._inverse = None
-
-    def matrix(self, grade: int):
-        """Matrix of L from horizontal ``grade``-forms, columns by blade."""
-        return _generator_columns(self.n, "dtheta", grade, True)
-
-    def middle_inverse(self):
-        if self._inverse is None:
-            columns = self.matrix(self.n - 1)
-            rows = linalg.transpose(columns)
-            size = len(rows)
-            if size != len(columns):
-                raise InternalInvariantError("Lefschetz middle matrix is not square")
-            self._inverse = linalg.invert(rows)
-        return self._inverse
-
-
-@lru_cache(maxsize=None)
-def lefschetz_solver(n: int) -> LefschetzSolver:
-    return LefschetzSolver(n)
-
-
 @lru_cache(maxsize=None)
 def _middle_inverse_rows(n: int) -> tuple:
-    """The Lefschetz middle inverse as sparse rows."""
-    return linalg.sparse_rows(lefschetz_solver(n).middle_inverse())
+    """Sparse rows of the inverse of L on horizontal (n-1)-forms.
+
+    L maps the horizontal (n-1)-blades onto the (n+1)-blades by a square,
+    invertible matrix; its inverse is computed once per n and reused for
+    every monomial solve.
+    """
+    columns = _generator_columns(n, "dtheta", n - 1, True)
+    rows = linalg.transpose(columns)
+    if len(rows) != len(columns):
+        raise InternalInvariantError("Lefschetz middle matrix is not square")
+    return linalg.sparse_rows(linalg.invert(rows))
 
 
 # -- per-monomial vectorization ------------------------------------------

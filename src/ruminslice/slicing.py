@@ -20,8 +20,8 @@ A simplex whose vertices all lie strictly on one side of the level
 contributes the same faces to both terms, so the formula is applied to
 the sub-chain of simplices the level crosses or touches: a slice costs
 in the simplices it cuts, not in the size of T.  f is evaluated once per
-vertex of T, and a coarea sweep shares those values and each simplex's
-tangent record (see :mod:`ruminslice.currents`) across all its levels.
+vertex of T, and a coarea sweep shares those values across all its
+levels and computes the whole mass of each simplex at most once.
 
 A certified slice checks the cancellation exactly.  It confirms that
 the canonical chain is a fixed point of ``canonical()`` and compares the
@@ -29,10 +29,9 @@ pairings of the canonical chain and of the uncancelled formula with
 every constant blade form dw_B.  Pairing is linear in simplices and
 alternating in vertex order, and every blade coefficient of the tangent
 is affine in the point, so a k-simplex pairs with dw_B as
-mult * V_B(centroid) / k!: one tangent per simplex of the formula, and
-the mean of the vertex tangents (shared with the mass) for the
-canonical chain.  The residual is exactly 0.0 whenever the cancellation
-holds, float input included.
+mult * V_B(centroid) / k!: one framing of the simplex's coordinate
+k-vector per simplex of either chain.  The residual is exactly 0.0
+whenever the cancellation holds, float input included.
 
 Mass bounds and the coarea sweep require the slice dimension k to differ
 from n; requests at k = n raise :class:`MiddleDimensionError`.
@@ -49,9 +48,7 @@ from .clipping import HalfSpace, exact
 from .currents import (
     SimplicialCurrent,
     _blade_pairings,
-    _chain_tangents,
     _clipped_measure,
-    _mass,
     boundary,
     mass,
     restrict_to_set,
@@ -208,24 +205,22 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         formal = boundary_of_restricted - restricted_boundary
     chain = formal.canonical()
     _check_on_level(chain, f, t)
-    tangents = _chain_tangents(chain)
-    residual = _certificate(chain, formal, tangents) if certify else 0.0
-    return SliceResult(chain=chain, mass=_mass(chain, tangents), residual=residual,
+    residual = _certificate(chain, formal) if certify else 0.0
+    return SliceResult(chain=chain, mass=mass(chain), residual=residual,
                        level=t, side=side,
                        middle_dimension=(chain.degree == T.params.n))
 
 
-def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent, tangents) -> float:
+def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
     """max over blades B of |chain(dw_B) - formal(dw_B)|, as a float.
 
-    ``chain`` is ``formal.canonical()`` and ``tangents`` its vertex
-    tangents; a chain that is not a fixed point of ``canonical()``
-    raises :class:`InternalInvariantError`.  The value is exactly 0.0
-    when the cancellation holds.
+    ``chain`` is ``formal.canonical()``; a chain that is not a fixed
+    point of ``canonical()`` raises :class:`InternalInvariantError`.  The
+    value is exactly 0.0 when the cancellation holds.
     """
     if chain.canonical() != chain:
         raise InternalInvariantError("canonical() is not idempotent on the slice chain")
-    direct = _blade_pairings(chain, tangents)
+    direct = _blade_pairings(chain)
     via_formula = _blade_pairings(formal)
     return max((abs(float(direct.get(b, 0) - via_formula.get(b, 0)))
                 for b in direct.keys() | via_formula.keys()), default=0.0)
@@ -266,10 +261,10 @@ def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
                             _level_table(T, f), {})
 
 
-def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, parents):
+def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, whole):
     halfspaces = [f.halfspace(lo, ">"), f.halfspace(hi, "<")]
     values = [_halfspace_values(table, hs) for hs in halfspaces]
-    return _clipped_measure(T, halfspaces, values, parents)
+    return _clipped_measure(T, halfspaces, values, whole)
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
@@ -342,17 +337,17 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         raise ParameterError("need a < b")
     width = (b - a) / grid
     lip = f.lipschitz_constant()
-    # f at the vertices and the tangent records of the simplices, shared
-    # by every slice and cell of this sweep
+    # f at the vertices, shared by every slice and cell of this sweep, and
+    # the whole masses of the simplices, shared by its cells
     table = _level_table(T, f)
-    parents = {}
+    whole = {}
     rows = []
     masses = []
     for i in range(grid):
         t = a + width * Fraction(2 * i + 1, 2)
         m_slice = _slice(T, f, t, "+", certify=False, table=table).mass
         lo = t - width / 2
-        cell = _measure_between(T, f, lo, lo + width, table, parents)
+        cell = _measure_between(T, f, lo, lo + width, table, whole)
         bound = lip * cell / width
         ratio = float(m_slice) / float(bound) if float(bound) != 0 else (
             0.0 if float(m_slice) == 0 else math.inf
@@ -364,7 +359,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     for left, right in zip(masses, masses[1:]):
         integral = integral + (left + right) * width / 2
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
-    denominator = lip * _measure_between(T, f, a, b, table, parents)
+    denominator = lip * _measure_between(T, f, a, b, table, whole)
     ratio = float(integral) / float(denominator) if float(denominator) != 0 else (
         0.0 if float(integral) == 0 else math.inf
     )

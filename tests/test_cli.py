@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,27 @@ class TestSliceCommand:
                   "--b", bounds["--b"], "--grid", "2"])
         assert err.value.code == 2
         assert f"argument {flag}: literal of" in capsys.readouterr().err
+
+    def test_unprintable_slice_coordinate_exits_2(self, capsys, tmp_path):
+        # 1000-digit coordinates are within the cap, but the cut point's
+        # coordinates grow past Python's 4300-digit int-string limit
+        rng = random.Random(2024)
+
+        def literal():
+            return F(rng.randrange(10 ** 999, 10 ** 1000), rng.randrange(10 ** 999, 10 ** 1000))
+
+        a, b = (tuple(literal() for _ in range(3)) for _ in range(2))
+        level = ((a[0] + a[1] + b[0] + b[1]) / 2).limit_denominator(10 ** 990)
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({
+            "version": "rumin-slice/1", "n": 1, "degree": 1,
+            "vertices": [[str(c) for c in a], [str(c) for c in b]],
+            "simplices": [{"vertices": [0, 1], "multiplicity": "1"}]}))
+        assert main(["slice", "--chain", str(path), "--f", "x1+y1", "--t", str(level)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write a chain coordinate")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("level,shown", [
         ("1/3", "1/3"), ("0.25", "1/4"), ("2e-3", "1/500"),

@@ -1,8 +1,8 @@
 """The moment-table pairing kernel against the per-node evaluation.
 
 The oracle below is the direct path: at every quadrature node it wedges
-the framed edges (``tangent_at``), evaluates each form (``evaluate_at``)
-and pairs the two.  The kernel must return the same Fractions, on float
+the framed edges (``conftest.tangent_at``), evaluates each form
+(``evaluate_at``) and pairs the two.  The kernel must return the same Fractions, on float
 chains too: ``Simplex`` converts float coordinates exactly.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, constant_blade_forms
+from conftest import FIXTURES, constant_blade_forms, tangent_at
 
 from ruminslice import (
     AdmissibilityError,
@@ -35,11 +35,11 @@ from ruminslice import (
 )
 from ruminslice.algebra import Covector, all_blades, pair, wedge
 from ruminslice.currents import (
+    _blade_pairings,
     _node_tangents,
     _vertex_tangents,
     pair_forms_batch,
     sqrt_exact_or_float,
-    tangent_at,
 )
 from ruminslice.formio import load_chain
 from ruminslice.forms import random_form
@@ -262,14 +262,31 @@ def simplex_and_rule(draw):
     dim = 2 * n + 1
     degree = draw(st.integers(min_value=0, max_value=dim))
     coord = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-    vertices = tuple(tuple(draw(coord) for _ in range(dim)) for _ in range(degree + 1))
-    return HeisParams(n), Simplex(vertices, F(0)), draw(st.integers(min_value=0, max_value=3))
+    vertices = [tuple(draw(coord) for _ in range(dim)) for _ in range(degree + 1)]
+    if degree >= 2 and draw(st.booleans()):
+        # the last vertex on the line through two others: a degenerate simplex
+        i, j = draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=2, unique=True))
+        lam = draw(coord)
+        vertices[-1] = tuple(a + lam * (b - a) for a, b in zip(vertices[i], vertices[j]))
+    return (HeisParams(n), Simplex(tuple(vertices), F(0)),
+            draw(st.integers(min_value=0, max_value=3)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(simplex_and_rule())
 def test_interpolated_tangent_equals_wedge_at_every_node(case):
     params, simplex, s = case
+    wedged = [tangent_at(params, simplex, v) for v in simplex.vertices]
+    assert simplex.degenerate() == wedged[0].is_zero()
+    assert [MultiVector(params.dim, simplex.degree, t)
+            for t in _vertex_tangents(params, simplex)] == wedged
+    # the constant blade pairings frame the coordinate k-vector at the centroid
+    corners = simplex.degree + 1
+    centroid = tuple(sum(axis) / corners for axis in zip(*simplex.vertices))
+    volume = F(1, math.factorial(simplex.degree))
+    at_centroid = tangent_at(params, simplex, centroid).scale(volume)
+    T = SimplicialCurrent(params, simplex.degree, [Simplex._trusted(simplex.vertices, F(1))])
+    assert MultiVector(params.dim, simplex.degree, _blade_pairings(T)) == at_centroid
     rule = grundmann_moller(simplex.degree, s)
     degree = 2 * s + 1
     assert rule_for_degree(simplex.degree, degree) == rule

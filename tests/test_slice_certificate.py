@@ -31,10 +31,7 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice import slicing
-from ruminslice.currents import (
-    _chain_tangents,
-    pair_forms_batch,
-)
+from ruminslice.currents import pair_forms_batch
 from ruminslice.formio import load_chain
 from ruminslice.forms import random_form
 from ruminslice.slicing import AffineFunction
@@ -61,8 +58,8 @@ def certified(monkeypatch):
     seen = []
     original = slicing._certificate
 
-    def spy(chain, formal, tangents):
-        residual = original(chain, formal, tangents)
+    def spy(chain, formal):
+        residual = original(chain, formal)
         seen.append((chain, formal, residual))
         return residual
 
@@ -175,29 +172,29 @@ def certificate_parts(certified, T, f, t):
     slice_plus(T, f, t)
     chain, formal, residual = certified[-1]
     assert residual == 0.0
-    return chain, formal, _chain_tangents(chain)
+    return chain, formal
 
 
 def test_dropping_a_formula_simplex_is_detected(certified):
     for T, f, t in exact_cases():
-        chain, formal, tangents = certificate_parts(certified, T, f, t)
+        chain, formal = certificate_parts(certified, T, f, t)
         size = len(formal.simplices)
         for index in sorted({0, size // 2, size - 1}):
             broken = formal.with_simplices(
                 formal.simplices[:index] + formal.simplices[index + 1:])
-            assert slicing._certificate(chain, broken, tangents) > 0
+            assert slicing._certificate(chain, broken) > 0
 
 
 def test_changing_a_formula_multiplicity_is_detected(certified):
     for T, f, t in exact_cases():
-        chain, formal, tangents = certificate_parts(certified, T, f, t)
+        chain, formal = certificate_parts(certified, T, f, t)
         size = len(formal.simplices)
         for index in sorted({0, size // 2, size - 1}):
             simplices = list(formal.simplices)
             s = simplices[index]
             simplices[index] = Simplex._trusted(s.vertices, s.multiplicity + F(1, 3))
             broken = formal.with_simplices(simplices)
-            assert slicing._certificate(chain, broken, tangents) > 0
+            assert slicing._certificate(chain, broken) > 0
 
 
 @pytest.mark.parametrize("fault", ["doubles", "drops the last simplex"])
@@ -249,4 +246,4 @@ def test_float_residual_is_the_dropped_slivers_pairing(certified, t):
     assert with_sliver.canonical() != chain
     expected = blade_pairing_magnitude(extra)
     assert expected > 1e-10
-    assert slicing._certificate(chain, with_sliver, _chain_tangents(chain)) == expected
+    assert slicing._certificate(chain, with_sliver) == expected

@@ -35,7 +35,6 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice.clipping import _cut_point, _edge_key, split_simplex
-from ruminslice.currents import _is_degenerate
 from ruminslice.formio import load_chain
 from ruminslice.slicing import AffineFunction, coarea_sweep, measure_between
 
@@ -82,7 +81,7 @@ def oracle_restrict(T, halfspaces):
         for s in simplices:
             kept, _ = oracle_split(s.vertices, hs)
             clipped.extend(Simplex._trusted(piece, s.multiplicity) for piece in kept
-                           if not _is_degenerate(piece, T.degree))
+                           if not Simplex(piece, 0).degenerate())
         simplices = clipped
     return T.with_simplices(simplices)
 
@@ -182,7 +181,7 @@ def test_split_float_vertices_on_the_plane():
     assert (len(kept), len(dropped)) == (3, 3)
     assert all(hs.value(v) >= 0 for piece in kept for v in piece)
     assert all(hs.value(v) <= 0 for piece in dropped for v in piece)
-    assert not any(_is_degenerate(piece, 3) for piece in kept + dropped)
+    assert not any(Simplex(piece, 0).degenerate() for piece in kept + dropped)
 
 
 def test_sides_rule():
