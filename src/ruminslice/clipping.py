@@ -11,8 +11,15 @@ survives clipping.
 The value a . p - c of each input vertex is computed once (or passed in
 by a caller that already has it) and carried down the recursion; a cut
 point's value is exactly 0.  :meth:`HalfSpace.sides` is the one rule
-that turns values into sides, for the split and for callers that
-classify whole simplices before clipping.
+that turns values into sides.
+
+The split also records each piece's share of the parameter volume of
+the simplex it was cut from.  The cut point (1 - lam) v_i + lam v_j
+replaces v_i in one piece and v_j in the other, and those pieces are
+the fractions 1 - lam and lam of the simplex, so shares multiply down
+the recursion.  :func:`split_simplex` returns the pieces alone; the
+library's clipping, measures and slices use the kernel ``_split``,
+which keeps each piece's values and share with it.
 
 Geometry is exact only.  Every finite float is a dyadic rational, so the
 public constructors (:class:`HalfSpace` here, ``Simplex``,
@@ -104,22 +111,32 @@ def split_simplex(vertices, halfspace: HalfSpace, values=None):
     simplex = tuple(vertices)
     if values is None:
         values = [halfspace.value(v) for v in simplex]
+    kept, dropped = _split(simplex, halfspace, tuple(values))
+    return [piece for piece, _, _ in kept], [piece for piece, _, _ in dropped]
+
+
+def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1):
+    """:func:`split_simplex` on (piece, values, share) triples.
+
+    ``values`` are the simplex's :meth:`HalfSpace.value` and are carried
+    to each piece.  ``share`` is the simplex's share of the parameter
+    volume of the simplex it was cut from.  The cut point (1 - lam) v_i
+    + lam v_j replaces v_i in one piece and v_j in the other; the piece
+    without v_i is the fraction 1 - lam of the simplex (the cut's
+    barycentric weight of v_i), the other the fraction lam.
+    """
     want_positive = halfspace.keeps_positive()
     kept, dropped = [], []
-    stack = [(simplex, tuple(values), halfspace.sides(values))]
+    stack = [(simplex, values, halfspace.sides(values), share)]
     while stack:
-        simplex, values, signs = stack.pop()
+        simplex, values, signs, share = stack.pop()
         has_pos = 1 in signs
         has_neg = -1 in signs
         if not (has_pos and has_neg):
             on_plane = not has_pos and not has_neg
             inside = has_pos if want_positive else has_neg
-            if inside:
-                kept.append(simplex)
-            elif on_plane:
-                (kept if halfspace.keeps_boundary() else dropped).append(simplex)
-            else:
-                dropped.append(simplex)
+            keep = inside or (on_plane and halfspace.keeps_boundary())
+            (kept if keep else dropped).append((simplex, values, share))
             continue
         crossing = [
             (i, j)
@@ -129,13 +146,15 @@ def split_simplex(vertices, halfspace: HalfSpace, values=None):
         ]
         i, j = min(crossing, key=lambda e: _edge_key(simplex[e[0]], simplex[e[1]]))
         cut = _cut_point(simplex[i], simplex[j], values[i], values[j])
+        lam = values[i] / (values[i] - values[j])
         # the cut lies on the plane: value 0 and side 0, never recomputed
-        for index in (i, j):
+        for index, part in ((i, 1 - lam), (j, lam)):
             piece = list(simplex)
             piece[index] = cut
             piece_values = list(values)
             piece_values[index] = 0
             piece_signs = list(signs)
             piece_signs[index] = 0
-            stack.append((tuple(piece), tuple(piece_values), tuple(piece_signs)))
+            stack.append((tuple(piece), tuple(piece_values), tuple(piece_signs),
+                          share * part))
     return kept, dropped

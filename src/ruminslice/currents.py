@@ -30,10 +30,15 @@ the constant blade pairings).  A batch of forms is paired through a
 per-simplex moment table (see :func:`pair_forms_batch`), one pass over
 the nodes for the whole batch.
 
-A clip piece is measured like any simplex, from its own E, so
-restriction and the measure of half-space regions need nothing from the
-parent but its vertices.  A cut point lies strictly inside its edge, so
-no clip piece is degenerate.
+The clip records each piece's share of its simplex's parameter volume
+(a cut at lam on an edge splits a share as lam : 1 - lam; see
+:mod:`ruminslice.clipping`), and a piece's E is its share times the
+simplex's.  So when the simplex's tangent is constant with a rational
+norm, a piece's mass is the whole mass times its share: the Fraction
+its own minors would give, with no minors computed.  Any other piece is
+measured like any simplex, from its own E, so float sums stay the same
+numbers.  A cut point lies strictly inside its edge, so no clip piece
+is degenerate.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import MultiVector, pair, wedge_vectors
-from .clipping import HalfSpace, exact, split_simplex
+from .clipping import HalfSpace, _split, exact, split_simplex
 from .errors import (
     AdmissibilityError,
     DimensionMismatchError,
@@ -443,7 +448,10 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
 
 def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
     """int_S |V(p)| ds for one simplex."""
-    vertex_tangents = _vertex_tangents(params, simplex)
+    return _mass_from_tangents(simplex, _vertex_tangents(params, simplex), quadrature_degree)
+
+
+def _mass_from_tangents(simplex: Simplex, vertex_tangents, quadrature_degree: int):
     constant = _constant_tangent(vertex_tangents)
     if constant is not None:
         return _tangent_norm(constant) * _parameter_volume(simplex.degree)
@@ -483,55 +491,90 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
 
 
 def _clip_pieces(vertices, halfspaces, values=None) -> list:
-    """The pieces of one simplex kept by every half-space, in clip order.
+    """The (piece, share) pairs of one simplex kept by every half-space, in clip order.
 
-    ``values`` holds, per half-space, a mapping from vertex to
-    :meth:`HalfSpace.value`; vertices it lacks (cut points) are
-    evaluated.
+    ``values`` are the vertices' :meth:`HalfSpace.value` for the first
+    half-space, when the caller has them.  For a later half-space with
+    the same coefficients (another level of the same function) a piece's
+    values are its values for the previous one shifted by the difference
+    of the constants; other values are evaluated.  A piece's share is
+    its part of the simplex's parameter volume (see
+    :func:`ruminslice.clipping._split`).
     """
-    pieces = [vertices]
-    for index, hs in enumerate(halfspaces):
-        table = values[index] if values is not None else None
+    pieces = [(tuple(vertices), values, 1)]
+    previous = None
+    for hs in halfspaces:
+        shift = None
+        if previous is not None and previous.coeffs == hs.coeffs:
+            shift = previous.const - hs.const
         clipped = []
-        for piece in pieces:
-            known = None
-            if table is not None:
-                known = [table[v] if v in table else hs.value(v) for v in piece]
-            clipped.extend(split_simplex(piece, hs, known)[0])
+        for piece, piece_values, piece_share in pieces:
+            if shift is not None:
+                piece_values = tuple(v + shift for v in piece_values)
+            elif previous is not None or piece_values is None:
+                piece_values = tuple(hs.value(v) for v in piece)
+            clipped.extend(_split(piece, hs, piece_values, piece_share)[0])
         pieces = clipped
-    return pieces
+        previous = hs
+    return [(piece, piece_share) for piece, _, piece_share in pieces]
 
 
 def _halfspace_list(halfspaces) -> list:
     return [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
 
 
-def _clipped_measure(T: SimplicialCurrent, halfspaces, values=None, whole=None):
-    """mu_T of an intersection of half-spaces: M(restrict_to_set(T, halfspaces)).
+def _whole(T: SimplicialCurrent, index: int, whole: dict, need_mass: bool) -> tuple:
+    """(whole mass, scales) of simplex ``index``, cached in ``whole``.
 
-    A simplex that no plane cuts contributes its whole mass or nothing;
-    a clip piece is measured from its own coordinate k-vector.  ``values``
-    is as for :func:`_clip_pieces`; ``whole`` maps simplex indices to
-    their whole masses, shared by the calls of one sweep.
+    ``scales`` is true when the tangent is constant and its norm
+    rational: a clip piece's tangent is then the simplex's times the
+    piece's share, so its mass is the whole mass times the share, the
+    same Fraction its own minors give.  The mass of a simplex with a
+    varying tangent is left None until ``need_mass``.
     """
-    halfspaces = _halfspace_list(halfspaces)
-    if whole is None:
-        whole = {}
+    entry = whole.get(index)
+    if entry is None or (need_mass and entry[0] is None):
+        s = T.simplices[index]
+        vertex_tangents = _vertex_tangents(T.params, s)
+        constant = _constant_tangent(vertex_tangents) is not None
+        value = None
+        if constant or need_mass:
+            value = _mass_from_tangents(s, vertex_tangents, T.quadrature_degree)
+        entry = whole[index] = (value, constant and isinstance(value, Fraction))
+    return entry
+
+
+def _clipped_measure(T: SimplicialCurrent, cuts, whole: dict):
+    """mu_T of a region cut out by half-spaces, in simplex and clip order.
+
+    ``cuts`` yields (index, planes, values) in simplex order, for every
+    simplex that may meet the region: the half-spaces ``planes`` cut the
+    region out of simplex ``index`` (none when it lies inside), and
+    ``values`` are its vertices' values for the first plane, or None.
+    A simplex the clip leaves whole adds its whole mass.  A piece adds
+    the whole mass times its share when that scales (see :func:`_whole`),
+    else its own mass, so float sums add the same terms in the same
+    order as M(restrict_to_set(T, ...)).  ``whole`` caches the whole
+    masses; the calls of one sweep share it.
+    """
     total = Fraction(0)
-    for index, s in enumerate(T.simplices):
-        pieces = _clip_pieces(s.vertices, halfspaces, values)
+    for index, planes, values in cuts:
+        s = T.simplices[index]
+        pieces = _clip_pieces(s.vertices, planes, values)
         if not pieces:
             continue
         weight = abs(s.multiplicity)
-        if len(pieces) == 1 and pieces[0] == s.vertices:
-            if index not in whole:
-                whole[index] = _simplex_mass(T.params, s, T.quadrature_degree)
-            total = total + weight * whole[index]
+        uncut = pieces[0][1] == 1
+        value, scales = _whole(T, index, whole, uncut)
+        if uncut:
+            total = total + weight * value
             continue
-        for piece in pieces:
-            acc = _simplex_mass(T.params, Simplex._trusted(piece, s.multiplicity),
-                                T.quadrature_degree)
-            total = total + weight * acc
+        for piece, share in pieces:
+            if scales:
+                total = total + weight * (value * share)
+            else:
+                total = total + weight * _simplex_mass(
+                    T.params, Simplex._trusted(piece, s.multiplicity), T.quadrature_degree)
     return total
 
 
@@ -547,7 +590,7 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     clipped = []
     for s in T.simplices:
         clipped.extend(Simplex._trusted(piece, s.multiplicity)
-                       for piece in _clip_pieces(s.vertices, halfspaces))
+                       for piece, _ in _clip_pieces(s.vertices, halfspaces))
     return T.with_simplices(clipped)
 
 
@@ -567,7 +610,8 @@ def measure_of(T: SimplicialCurrent, region):
                     acc = acc + weight * _tangent_norm(tangent)
             total = total + abs(s.multiplicity) * acc
         return total
-    return _clipped_measure(T, region)
+    planes = _halfspace_list(region)
+    return _clipped_measure(T, ((index, planes, None) for index in range(len(T.simplices))), {})
 
 
 def boundary(T: SimplicialCurrent) -> SimplicialCurrent:

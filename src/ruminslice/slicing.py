@@ -17,16 +17,26 @@ every public function here convert floats exactly (see
 float vertex touches a level only when it equals it.
 
 A simplex whose vertices all lie strictly on one side of the level
-contributes the same faces to both terms, so the formula is applied to
-the sub-chain of simplices the level crosses or touches: a slice costs
-in the simplices it cuts, not in the size of T.  f is evaluated once per
-vertex of T, and a coarea sweep shares those values across all its
-levels and computes the whole mass of each simplex at most once.
+contributes the same faces to both terms.  Within a simplex the level
+crosses, the off-level faces cancel too: the kept clip pieces share
+their interior faces, and the clip subdivides each face of the simplex
+as it would clip that face alone.  So a slice is read off the kept clip
+pieces of the crossing simplices: a piece with exactly one off-level
+vertex i gives its face opposite i, with the formula's multiplicity
+-(-1)^i mult on the plus side and +(-1)^i mult on the minus side, and
+one ``canonical()`` pass merges the faces.  A slice costs in the
+simplices it cuts, not in the size of T.  f is evaluated once per
+vertex of T, and each simplex's range of f is kept with it.  A coarea
+sweep shares both across all its levels and cells: a cell skips the
+simplices it misses, takes whole the ones inside it, clips the others
+only by the planes that cut them, and the whole mass of each simplex is
+computed at most once per sweep.
 
-A certified slice checks the cancellation exactly.  It confirms that
-the canonical chain is a fixed point of ``canonical()`` and compares the
-pairings of the canonical chain and of the uncancelled formula with
-every constant blade form dw_B.  Pairing is linear in simplices and
+A certified slice also builds the formula, from the same clip pieces,
+as the witness of the cancellation.  It checks that the slice chain is
+a fixed point of ``canonical()`` and that it equals the formula's
+canonical chain, and compares the pairings of the two with every
+constant blade form dw_B.  Pairing is linear in simplices and
 alternating in vertex order, and every blade coefficient of the tangent
 is affine in the point, so a k-simplex pairs with dw_B as
 mult * V_B(centroid) / k!: one framing of the simplex's coordinate
@@ -44,8 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .clipping import HalfSpace, exact
+from .clipping import HalfSpace, _split, exact
 from .currents import (
+    Simplex,
     SimplicialCurrent,
     _blade_pairings,
     _clipped_measure,
@@ -157,14 +168,22 @@ class SliceResult:
     middle_dimension: bool
 
 
-def _level_table(T: SimplicialCurrent, f: AffineFunction) -> dict:
-    """coeffs . v for every vertex of T, in sorted vertex order.
+class _Values:
+    """coeffs . v at the vertices of a chain, computed once per (chain, f).
 
     A level's half-space value at v is this minus the half-space
     constant, the same arithmetic as :meth:`HalfSpace.value`; f(v) is
-    this plus f.const.
+    this plus f.const.  ``table`` maps the vertices, in sorted order, to
+    it; ``dots`` holds it per simplex in vertex order, and ``ranges`` the
+    (min, max) of each simplex's ``dots``.
     """
-    return {v: sum(a * b for a, b in zip(f.coeffs, v)) for v in sorted(T.vertices())}
+
+    __slots__ = ("table", "dots", "ranges")
+
+    def __init__(self, T: SimplicialCurrent, f: AffineFunction):
+        self.table = {v: sum(a * b for a, b in zip(f.coeffs, v)) for v in sorted(T.vertices())}
+        self.dots = [tuple(self.table[v] for v in s.vertices) for s in T.simplices]
+        self.ranges = [(min(d), max(d)) for d in self.dots]
 
 
 def _check_generic_level(table: dict, f: AffineFunction, t):
@@ -176,50 +195,83 @@ def _check_generic_level(table: dict, f: AffineFunction, t):
             )
 
 
-def _halfspace_values(table: dict, hs: HalfSpace) -> dict:
-    return {v: dot - hs.const for v, dot in table.items()}
-
-
 def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
-           certify: bool = True, table=None) -> SliceResult:
+           certify: bool = True, values=None) -> SliceResult:
     if T.degree < 1:
         raise ParameterError("cannot slice a 0-chain")
-    if table is None:
-        table = _level_table(T, f)
-    _check_generic_level(table, f, t)
+    if values is None:
+        values = _Values(T, f)
+    _check_generic_level(values.table, f, t)
     plus = side == "+"
     hs = f.halfspace(t, ">" if plus else "<")
-    values = _halfspace_values(table, hs)
-    crossing = []
-    for s in T.simplices:
-        sides = hs.sides([values[v] for v in s.vertices])
-        # not all strictly on one side: the level crosses or touches s
-        if min(sides) < 1 and max(sides) > -1:
-            crossing.append(s)
-    cut = T.with_simplices(crossing)
-    restricted_boundary = restrict_to_set(boundary(cut), [hs])
-    boundary_of_restricted = boundary(restrict_to_set(cut, [hs]))
-    if plus:
-        formal = restricted_boundary - boundary_of_restricted
-    else:
-        formal = boundary_of_restricted - restricted_boundary
-    chain = formal.canonical()
+    level = hs.const
+    # a generic level misses every vertex, so it meets exactly the
+    # simplices with vertices on both sides of it
+    crossing = [(s, _split(s.vertices, hs, tuple(d - level for d in dots))[0])
+                for s, dots, (least, most) in zip(T.simplices, values.dots, values.ranges)
+                if least < level < most]
+    chain = SimplicialCurrent(T.params, T.degree - 1, _sections(crossing, plus),
+                              T.quadrature_degree).canonical()
     _check_on_level(chain, f, t)
-    residual = _certificate(chain, formal) if certify else 0.0
+    residual = 0.0
+    if certify:
+        formal = _formula(T, hs, crossing, plus)
+        if chain.canonical() != chain:
+            raise InternalInvariantError("canonical() is not idempotent on the slice chain")
+        if formal.canonical() != chain:
+            raise InternalInvariantError("the sections differ from the canonical formula chain")
+        residual = _certificate(chain, formal)
     return SliceResult(chain=chain, mass=mass(chain), residual=residual,
                        level=t, side=side,
                        middle_dimension=(chain.degree == T.params.n))
 
 
+def _sections(crossing, plus: bool) -> list:
+    """The faces of the kept clip pieces that lie on the level, signed.
+
+    ``crossing`` pairs each simplex the level crosses with its kept
+    pieces, as (piece, values, share) triples.  A piece with exactly one
+    off-level vertex i has its face opposite i on the level, and the
+    formula takes that face from -d(T|{f>t}) with multiplicity
+    -(-1)^i mult, or from d(T|{f<t}) with +(-1)^i mult.  The formula's
+    other faces cancel within each simplex: pieces share their interior
+    faces, and the clip subdivides a face of the simplex as it clips
+    that face alone.
+    """
+    faces = []
+    for s, pieces in crossing:
+        for piece, piece_values, _ in pieces:
+            off = [i for i, v in enumerate(piece_values) if v != 0]
+            if len(off) == 1:
+                i = off[0]
+                negate = plus == (i % 2 == 0)
+                faces.append(Simplex._trusted(piece[:i] + piece[i + 1:],
+                                              -s.multiplicity if negate else s.multiplicity))
+    return faces
+
+
+def _formula(T: SimplicialCurrent, hs: HalfSpace, crossing, plus: bool) -> SimplicialCurrent:
+    """The uncancelled defining combination over the crossing simplices.
+
+    (dT)|{f>t} - d(T|{f>t}) for the plus side, d(T|{f<t}) - (dT)|{f<t}
+    for the minus side, with T|{f>t} (or T|{f<t}) the kept pieces of
+    ``crossing`` and (dT)|{f>t} clipped afresh.
+    """
+    cut = T.with_simplices([s for s, _ in crossing])
+    restricted_boundary = restrict_to_set(boundary(cut), [hs])
+    boundary_of_restricted = boundary(cut.with_simplices(
+        Simplex._trusted(piece, s.multiplicity) for s, pieces in crossing for piece, _, _ in pieces))
+    if plus:
+        return restricted_boundary - boundary_of_restricted
+    return boundary_of_restricted - restricted_boundary
+
+
 def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
     """max over blades B of |chain(dw_B) - formal(dw_B)|, as a float.
 
-    ``chain`` is ``formal.canonical()``; a chain that is not a fixed
-    point of ``canonical()`` raises :class:`InternalInvariantError`.  The
-    value is exactly 0.0 when the cancellation holds.
+    The value is exactly 0.0 when ``chain`` is the canonical form of
+    ``formal``.
     """
-    if chain.canonical() != chain:
-        raise InternalInvariantError("canonical() is not idempotent on the slice chain")
     direct = _blade_pairings(chain)
     via_formula = _blade_pairings(formal)
     return max((abs(float(direct.get(b, 0) - via_formula.get(b, 0)))
@@ -257,14 +309,33 @@ def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
 
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
     """mu_T({lo < f < hi}), by exact clipping."""
-    return _measure_between(T, f, exact(lo, "level"), exact(hi, "level"),
-                            _level_table(T, f), {})
+    return _measure_between(T, f, exact(lo, "level"), exact(hi, "level"), _Values(T, f), {})
 
 
-def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, table, whole):
-    halfspaces = [f.halfspace(lo, ">"), f.halfspace(hi, "<")]
-    values = [_halfspace_values(table, hs) for hs in halfspaces]
-    return _clipped_measure(T, halfspaces, values, whole)
+def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, values: _Values,
+                     whole: dict):
+    """mu_T({lo < f < hi}), each simplex classified by its range of f.
+
+    A simplex with no vertex above lo or none below hi adds nothing (a
+    face in a plane included, as the open half-spaces drop it), one with
+    every vertex in [lo, hi] adds its whole mass, and any other is
+    clipped by the planes its range crosses.  The pieces and the order
+    of the terms are those of clipping every simplex by both planes.
+    """
+    below, above = f.halfspace(lo, ">"), f.halfspace(hi, "<")
+    low, high = below.const, above.const
+    cuts = []
+    for index, (dots, (least, most)) in enumerate(zip(values.dots, values.ranges)):
+        if most <= low or least >= high:
+            continue
+        if least < low:
+            planes = (below, above) if most > high else (below,)
+            cuts.append((index, planes, tuple(d - low for d in dots)))
+        elif most > high:
+            cuts.append((index, (above,), tuple(d - high for d in dots)))
+        else:
+            cuts.append((index, (), None))
+    return _clipped_measure(T, cuts, whole)
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
@@ -287,8 +358,11 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
         )
     t = exact(t, "level")
     h_values = [exact(h, "band width") for h in h_values]
-    result = slice_plus(T, f, t)
-    m_slice = result.mass
+    return _band_rows(T, f, t, h_values, slice_plus(T, f, t).mass)
+
+
+def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice) -> list:
+    """The rows of :func:`band_trend` for a slice of mass ``m_slice`` at t."""
     rows = []
     for h in h_values:
         bound = band_bound(T, f, t, h)
@@ -339,15 +413,15 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     lip = f.lipschitz_constant()
     # f at the vertices, shared by every slice and cell of this sweep, and
     # the whole masses of the simplices, shared by its cells
-    table = _level_table(T, f)
+    values = _Values(T, f)
     whole = {}
     rows = []
     masses = []
     for i in range(grid):
         t = a + width * Fraction(2 * i + 1, 2)
-        m_slice = _slice(T, f, t, "+", certify=False, table=table).mass
+        m_slice = _slice(T, f, t, "+", certify=False, values=values).mass
         lo = t - width / 2
-        cell = _measure_between(T, f, lo, lo + width, table, whole)
+        cell = _measure_between(T, f, lo, lo + width, values, whole)
         bound = lip * cell / width
         ratio = float(m_slice) / float(bound) if float(bound) != 0 else (
             0.0 if float(m_slice) == 0 else math.inf
@@ -359,7 +433,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     for left, right in zip(masses, masses[1:]):
         integral = integral + (left + right) * width / 2
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
-    denominator = lip * _measure_between(T, f, a, b, table, whole)
+    denominator = lip * _measure_between(T, f, a, b, values, whole)
     ratio = float(integral) / float(denominator) if float(denominator) != 0 else (
         0.0 if float(integral) == 0 else math.inf
     )
@@ -515,7 +589,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: mass bound outside scope (open middle-dimension case)"))
         else:
             t = t_samples[len(t_samples) // 2]
-            rows = band_trend(T, f, t, h_values)
+            result = plus_results.get(t) or slice_plus(T, f, t)
+            rows = _band_rows(T, f, t, h_values, result.mass)
             worst = max(row[3] for row in rows)
             final_excess = rows[-1][3]
             status = "PASS" if final_excess <= 1e-3 else "FAIL"

@@ -325,6 +325,26 @@ class TestPropertyReport:
             property_report(unit_cube_chain(), f_t, [F(1, 3)], properties={1, 5})
         assert sliced == []
 
+    def test_band_rows_reuse_the_sampled_slice(self, monkeypatch):
+        # P4 reads the slice P1-P3 took at its level instead of slicing again,
+        # and prints the rows band_trend gives
+        cube = unit_cube_chain()
+        f = fx_h1()
+        levels = [F(1, 4), F(1, 2), F(3, 4)]
+        sliced = []
+        original = slicing._slice
+
+        def counting(*args, **kwargs):
+            sliced.append(args[2:4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(slicing, "_slice", counting)
+        report = property_report(cube, f, levels, properties={1, 4})
+        assert sorted(sliced) == sorted((t, side) for t in levels for side in "+-")
+        rows = band_trend(cube, f, F(1, 2), (F(1, 4), F(1, 16), F(1, 256)))
+        trend = ", ".join(f"h={float(h):g}: excess={exc:.3e}" for h, _, _, exc in rows)
+        assert report.entries[1].detail.startswith(f"band mass bound at t=1/2: {trend}")
+
     def test_random_chains_fuzz(self):
         # random chains, functions, multiplicities: the defining-formula
         # identities must hold exactly at every generic level
