@@ -10,13 +10,16 @@ Subcommands:
 
 Exit status: 0 when every requested check passes, 1 on a failed check,
 2 on scope or usage errors (middle-dimension requests, degenerate
-levels, malformed files, bad flags).
+levels, malformed or unreadable files, output files that cannot be
+written, bad or out-of-range flags: ``--count`` and ``--levels`` must be
+at least 1, ``--tol`` finite and at least 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -60,6 +63,28 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """A count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruminslice",
@@ -70,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("verify-complex", help="exactness and quotient checks for the complex")
     pc.add_argument("--n", type=int, choices=(1, 2), required=True)
     pc.add_argument("--seed", type=int, default=7)
-    pc.add_argument("--count", type=int, default=100)
+    pc.add_argument("--count", type=_positive_int, default=100)
 
     pl = sub.add_parser("verify-lemmas", help="commutation identity batteries")
     pl.add_argument("--n", type=int, choices=(1, 2), required=True)
     pl.add_argument("--seed", type=int, default=7)
-    pl.add_argument("--count", type=int, default=50)
+    pl.add_argument("--count", type=_positive_int, default=50)
 
     ps = sub.add_parser("slice", help="slice a chain at one level")
     ps.add_argument("--chain", required=True)
@@ -91,12 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--b", required=True, type=_fraction)
     pa.add_argument("--grid", required=True, type=int)
     pa.add_argument("--out")
-    pa.add_argument("--tol", type=float, default=1e-2)
+    pa.add_argument("--tol", type=_tolerance, default=1e-2)
 
     pr = sub.add_parser("report", help="the seven slicing properties on a chain")
     pr.add_argument("--chain", required=True)
     pr.add_argument("--f", required=True, dest="func")
-    pr.add_argument("--levels", type=int, default=8)
+    pr.add_argument("--levels", type=_positive_int, default=8)
     pr.add_argument("--properties",
                     help="comma-separated subset of 0..6; default all applicable")
     return parser
@@ -124,20 +149,23 @@ def _cmd_slice(args) -> int:
     chain, f = _load(args)
     result = slice_minus(chain, f, args.t) if args.minus else slice_plus(chain, f, args.t)
     side = "-" if args.minus else "+"
-    # built first: a chain that cannot be written fails before any output
+    # built and written first: a chain or an output file that cannot be
+    # written fails before any output
     payload = json.dumps(chain_to_dict(result.chain), indent=1)
-    print(f"slice side {side} at t = {args.t}")
-    print(f"simplices {len(result.chain.simplices)}")
-    print(f"mass {float(result.mass):.12g}")
-    print(f"residual {result.residual:.3e}")
+    lines = [f"slice side {side} at t = {args.t}",
+             f"simplices {len(result.chain.simplices)}",
+             f"mass {float(result.mass):.12g}",
+             f"residual {result.residual:.3e}"]
     if result.middle_dimension:
-        print("note: k = n slice; excluded from mass-bound reports (open middle-dimension case)")
+        lines.append("note: k = n slice; excluded from mass-bound reports "
+                     "(open middle-dimension case)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-        print(f"chain written to {args.out}")
+        lines.append(f"chain written to {args.out}")
     else:
-        print(payload)
+        lines.append(payload)
+    print("\n".join(lines))
     return 0
 
 
@@ -163,7 +191,7 @@ def _cmd_report(args) -> int:
     lo, hi = values[0], values[-1]
     if not lo < hi:
         raise ParameterError("the function is constant on the chain; nothing to slice")
-    count = max(1, args.levels)
+    count = args.levels
     samples = [lo + (hi - lo) * Fraction(2 * i + 1, 2 * count) for i in range(count)]
     wanted = None
     if args.properties:
@@ -197,7 +225,7 @@ def main(argv=None) -> int:
     except (MiddleDimensionError, DegenerateLevelError) as exc:
         print(f"scope error: {exc}", file=sys.stderr)
         return 2
-    except (ChainFormatError, ParameterError, FileNotFoundError) as exc:
+    except (ChainFormatError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,11 @@ by a caller that already has it) and carried down the recursion; a cut
 point's value is exactly 0.  :meth:`HalfSpace.sides` is the one rule
 that turns values into sides.
 
+The kernel works on vertex labels: coordinate tuples, or integer
+vertex ids numbered in coordinate order, with a function that names the
+cut point of an edge (see ``_split``).  Only vertices off the plane end
+a crossing edge, so ids split the same edges as coordinates do.
+
 The split also records each piece's share of the parameter volume of
 the simplex it was cut from.  The cut point (1 - lam) v_i + lam v_j
 replaces v_i in one piece and v_j in the other, and those pieces are
@@ -89,8 +94,8 @@ class HalfSpace:
 
 
 def _edge_key(a, b):
-    # exact lexicographic order on endpoint coordinate tuples
-    return (a, b) if tuple(a) <= tuple(b) else (b, a)
+    # the edge's endpoint labels in order: lexicographic on coordinates
+    return (a, b) if a <= b else (b, a)
 
 
 def _cut_point(a, b, va, vb):
@@ -115,8 +120,17 @@ def split_simplex(vertices, halfspace: HalfSpace, values=None):
     return [piece for piece, _, _ in kept], [piece for piece, _, _ in dropped]
 
 
-def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1):
+def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cut_point):
     """:func:`split_simplex` on (piece, values, share) triples.
+
+    ``simplex`` holds vertex labels: coordinate tuples, or any labels
+    whose order is the lexicographic order of their points on every
+    vertex off the plane, with ``cut(a, b, va, vb)`` the label of the
+    point where the plane meets the edge from a to b, whose values are
+    va and vb (:func:`_cut_point` for coordinates).  The crossing edge
+    split first is the one whose sorted label pair is smallest; only
+    vertices off the plane end a crossing edge, so any such labelling
+    splits the same edges in the same order.
 
     ``values`` are the simplex's :meth:`HalfSpace.value` and are carried
     to each piece.  ``share`` is the simplex's share of the parameter
@@ -145,12 +159,12 @@ def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1):
             if signs[i] * signs[j] < 0
         ]
         i, j = min(crossing, key=lambda e: _edge_key(simplex[e[0]], simplex[e[1]]))
-        cut = _cut_point(simplex[i], simplex[j], values[i], values[j])
+        point = cut(simplex[i], simplex[j], values[i], values[j])
         lam = values[i] / (values[i] - values[j])
         # the cut lies on the plane: value 0 and side 0, never recomputed
         for index, part in ((i, 1 - lam), (j, lam)):
             piece = list(simplex)
-            piece[index] = cut
+            piece[index] = point
             piece_values = list(values)
             piece_values[index] = 0
             piece_signs = list(signs)

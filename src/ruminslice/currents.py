@@ -39,6 +39,12 @@ its own minors would give, with no minors computed.  Any other piece is
 measured like any simplex, from its own E, so float sums stay the same
 numbers.  A cut point lies strictly inside its edge, so no clip piece
 is degenerate.
+
+Chains merge on integer vertex ids (see :func:`_merge`): ``canonical()``
+and :func:`boundary` intern their vertices, hashing each once and
+sorting the distinct ones once, so id order is coordinate order, and
+fold orientation signs on id tuples; slices merge their sections and
+their formula the same way.  No coordinate tuple is sorted per simplex.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import MultiVector, pair, wedge_vectors
@@ -173,16 +180,11 @@ class SimplicialCurrent:
         their simplex tuples.  No simplex is degenerate: the public
         constructor refuses them (after converting floats exactly), and
         faces, clip pieces and reorderings of a nondegenerate simplex stay
-        nondegenerate.
+        nondegenerate.  The vertices are interned (see :func:`_intern`) and
+        the simplices merged on their ids (see :func:`_merge`).
         """
-        merged = {}
-        for s in self.simplices:
-            order = sorted(range(len(s.vertices)), key=lambda i: tuple(s.vertices[i]))
-            sign = _permutation_sign(order)
-            key = tuple(s.vertices[i] for i in order)
-            merged[key] = merged.get(key, 0) + sign * s.multiplicity
-        kept = [Simplex._trusted(v, m) for v, m in sorted(merged.items()) if m != 0]
-        return self.with_simplices(kept)
+        points, cells = _intern(self.simplices)
+        return self.with_simplices(_from_cells(points, _merge(cells)))
 
     def vertices(self) -> set:
         out = set()
@@ -202,7 +204,8 @@ class SimplicialCurrent:
         return f"SimplicialCurrent(n={self.params.n}, degree={self.degree}, size={len(self.simplices)})"
 
 
-def _permutation_sign(order) -> int:
+@lru_cache(maxsize=None)
+def _permutation_sign(order: tuple) -> int:
     seen = [False] * len(order)
     sign = 1
     for start in range(len(order)):
@@ -217,6 +220,77 @@ def _permutation_sign(order) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# -- merging on vertex ids ----------------------------------------------------
+
+
+class _Cell(NamedTuple):
+    """A simplex as a tuple of integer vertex ids, with its multiplicity."""
+
+    vertices: tuple
+    multiplicity: Fraction
+
+
+def _ranked(points: list) -> tuple:
+    """(sorted points, rank): ``points`` sorted once, and the index there of
+    ``points[i]`` as ``rank[i]``."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return [points[i] for i in order], rank
+
+
+def _intern(simplices) -> tuple:
+    """(points, cells): the distinct vertices of ``simplices`` in
+    lexicographic order, and each simplex as a cell on indices into
+    ``points``.
+
+    Each vertex is hashed once and the distinct ones sorted once, so id
+    order is coordinate order.
+    """
+    first_seen = {}
+    labels = [tuple(first_seen.setdefault(v, len(first_seen)) for v in s.vertices)
+              for s in simplices]
+    points, rank = _ranked(list(first_seen))
+    return points, [_Cell(tuple(rank[i] for i in ids), s.multiplicity)
+                    for ids, s in zip(labels, simplices)]
+
+
+def _merge(cells) -> list:
+    """Merge cells with equal vertex id sets, folding orientation signs.
+
+    Each cell's ids are sorted, its multiplicity negated for an odd
+    permutation, and the multiplicities of equal id tuples summed.  Returns
+    the cells with nonzero net multiplicity, sorted by their id tuples: when
+    id order is coordinate order, this is :meth:`SimplicialCurrent.canonical`
+    on ids.
+    """
+    merged = {}
+    for cell in cells:
+        ids = cell.vertices
+        order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+        key = tuple(ids[i] for i in order)
+        mult = cell.multiplicity if _permutation_sign(order) > 0 else -cell.multiplicity
+        merged[key] = merged.get(key, 0) + mult
+    return [_Cell(ids, m) for ids, m in sorted(merged.items()) if m != 0]
+
+
+def _faces(cells) -> list:
+    """The faces of ``cells`` with the boundary's alternating signs, unmerged."""
+    out = []
+    for cell in cells:
+        ids, mult = cell.vertices, cell.multiplicity
+        for i in range(len(ids)):
+            out.append(_Cell(ids[:i] + ids[i + 1:], mult if i % 2 == 0 else -mult))
+    return out
+
+
+def _from_cells(points, cells) -> list:
+    """Simplices from cells whose ids index ``points``."""
+    return [Simplex._trusted(tuple(points[i] for i in cell.vertices), cell.multiplicity)
+            for cell in cells]
 
 
 # -- tangents ---------------------------------------------------------------
@@ -618,17 +692,13 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     """Combinatorial boundary with alternating-sign faces, canonicalized.
 
     Internal faces of a closed mesh cancel exactly in the canonical form.
+    The faces are merged on interned vertex ids, as in ``canonical()``.
     """
     if T.degree < 1:
         raise ParameterError("boundary of a 0-chain is not defined")
-    faces = []
-    for s in T.simplices:
-        for i in range(len(s.vertices)):
-            face = s.vertices[:i] + s.vertices[i + 1:]
-            mult = s.multiplicity if i % 2 == 0 else -s.multiplicity
-            faces.append(Simplex._trusted(face, mult))
-    out = SimplicialCurrent(T.params, T.degree - 1, faces, T.quadrature_degree)
-    return out.canonical()
+    points, cells = _intern(T.simplices)
+    return SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, _merge(_faces(cells))),
+                             T.quadrature_degree)
 
 
 def restrict_by_fn(T: SimplicialCurrent, g) -> "WeightedCurrent":

@@ -24,24 +24,36 @@ as it would clip that face alone.  So a slice is read off the kept clip
 pieces of the crossing simplices: a piece with exactly one off-level
 vertex i gives its face opposite i, with the formula's multiplicity
 -(-1)^i mult on the plus side and +(-1)^i mult on the minus side, and
-one ``canonical()`` pass merges the faces.  A slice costs in the
-simplices it cuts, not in the size of T.  f is evaluated once per
-vertex of T, and each simplex's range of f is kept with it.  A coarea
-sweep shares both across all its levels and cells: a cell skips the
-simplices it misses, takes whole the ones inside it, clips the others
-only by the planes that cut them, and the whole mass of each simplex is
-computed at most once per sweep.
+one merge folds the faces.  A slice costs in the simplices it cuts, not
+in the size of T.  f is evaluated once per vertex of T, and each
+simplex's range of f is kept with it.  A coarea sweep shares both
+across all its levels and cells: a cell skips the simplices it misses,
+takes whole the ones inside it, clips the others only by the planes
+that cut them, and the whole mass of each simplex is computed at most
+once per sweep.
 
-A certified slice also builds the formula, from the same clip pieces,
-as the witness of the cancellation.  It checks that the slice chain is
-a fixed point of ``canonical()`` and that it equals the formula's
-canonical chain, and compares the pairings of the two with every
-constant blade form dw_B.  Pairing is linear in simplices and
-alternating in vertex order, and every blade coefficient of the tangent
-is affine in the point, so a k-simplex pairs with dw_B as
+A slice clips, merges and cancels on integer vertex ids, not on
+coordinate tuples.  The chain's vertices, sorted once, are numbered in
+that order, so id order is coordinate order and the clip splits the
+same edges as it does on coordinates.  A cut point is computed once per
+crossing edge, memoised under the edge's end ids, and deduplicated by
+its coordinates, so equal ids mean equal points even where two edges
+meet the level at one point.  The cut points are ranked by one sort of
+their coordinates, and coordinates are assembled once, for the merged
+chain that survives.
+
+A certified slice also builds the formula, from the same clip pieces
+and on the same ids, as the witness of the cancellation.  It checks
+that the slice chain is a fixed point of ``canonical()``, that the
+formula merges to the same cells as the sections, and that the two
+chains pair alike with every constant blade form dw_B; a failed check
+raises :class:`InternalInvariantError`.  Pairing is linear in simplices
+and alternating in vertex order, and every blade coefficient of the
+tangent is affine in the point, so a k-simplex pairs with dw_B as
 mult * V_B(centroid) / k!: one framing of the simplex's coordinate
-k-vector per simplex of either chain.  The residual is exactly 0.0
-whenever the cancellation holds, float input included.
+k-vector per simplex of either chain.  The pairings see coordinates, so
+they catch a merge that is wrong in the same way on both sides; the
+residual is exactly 0.0 whenever the cancellation holds.
 
 Mass bounds and the coarea sweep require the slice dimension k to differ
 from n; requests at k = n raise :class:`MiddleDimensionError`.
@@ -54,15 +66,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .clipping import HalfSpace, _split, exact
+from .clipping import HalfSpace, _cut_point, _split, exact
 from .currents import (
-    Simplex,
     SimplicialCurrent,
     _blade_pairings,
+    _Cell,
     _clipped_measure,
+    _faces,
+    _from_cells,
+    _intern,
+    _merge,
+    _ranked,
     boundary,
     mass,
-    restrict_to_set,
     sqrt_exact_or_float,
 )
 from .errors import (
@@ -155,7 +171,8 @@ class SliceResult:
     forms dw_B, between the pairings of the canonical slice chain and of
     the uncancelled defining combination.  Every chain is exact (floats
     are converted exactly on the way in), so it is exactly 0.0; a nonzero
-    value would mean ``canonical()`` lost or altered a simplex.
+    value would mean the merge lost or altered a simplex, and a certified
+    slice raises :class:`InternalInvariantError` instead of returning it.
     Uncertified slices report 0.0.  ``middle_dimension`` flags
     slices of dimension k = n, which the mass-bound reports exclude.
     """
@@ -171,23 +188,55 @@ class SliceResult:
 class _Values:
     """coeffs . v at the vertices of a chain, computed once per (chain, f).
 
-    A level's half-space value at v is this minus the half-space
-    constant, the same arithmetic as :meth:`HalfSpace.value`; f(v) is
-    this plus f.const.  ``table`` maps the vertices, in sorted order, to
-    it; ``dots`` holds it per simplex in vertex order, and ``ranges`` the
-    (min, max) of each simplex's ``dots``.
+    ``points`` are the chain's vertices in lexicographic order, and a
+    vertex's index there is its id, so id order is coordinate order.
+    ``dot`` holds coeffs . v per id: a level's half-space value at v is
+    this minus the half-space constant, the same arithmetic as
+    :meth:`HalfSpace.value`, and f(v) is this plus f.const.  ``cells``
+    holds each simplex as a cell on vertex ids, ``dots`` its values in
+    vertex order, and ``ranges`` the (min, max) of its ``dots``.
     """
 
-    __slots__ = ("table", "dots", "ranges")
+    __slots__ = ("points", "dot", "cells", "dots", "ranges")
 
     def __init__(self, T: SimplicialCurrent, f: AffineFunction):
-        self.table = {v: sum(a * b for a, b in zip(f.coeffs, v)) for v in sorted(T.vertices())}
-        self.dots = [tuple(self.table[v] for v in s.vertices) for s in T.simplices]
+        self.points, self.cells = _intern(T.simplices)
+        self.dot = [sum(a * b for a, b in zip(f.coeffs, v)) for v in self.points]
+        self.dots = [tuple(self.dot[i] for i in cell.vertices) for cell in self.cells]
         self.ranges = [(min(d), max(d)) for d in self.dots]
 
 
-def _check_generic_level(table: dict, f: AffineFunction, t):
-    for v, dot in table.items():
+class _CutPoints:
+    """The point table of one slice: the chain's vertices, then cut points.
+
+    Called as the ``cut`` of :func:`ruminslice.clipping._split` on vertex
+    ids.  A cut point is computed once per crossing edge, memoised under
+    the edge's sorted end ids, and takes the id of an equal cut point
+    when two edges meet the level at the same point, so equal ids mean
+    equal points.
+    """
+
+    __slots__ = ("points", "first", "edges", "by_point")
+
+    def __init__(self, vertices: list):
+        self.points = list(vertices)
+        self.first = len(self.points)
+        self.edges = {}
+        self.by_point = {}
+
+    def __call__(self, a: int, b: int, va, vb) -> int:
+        key = (a, b) if a < b else (b, a)
+        label = self.edges.get(key)
+        if label is None:
+            point = _cut_point(self.points[a], self.points[b], va, vb)
+            label = self.edges[key] = self.by_point.setdefault(point, len(self.points))
+            if label == len(self.points):
+                self.points.append(point)
+        return label
+
+
+def _check_generic_level(values: _Values, f: AffineFunction, t):
+    for v, dot in zip(values.points, values.dot):
         if dot + f.const == t:
             shown = "(" + ", ".join(str(c) for c in v) + ")"
             raise DegenerateLevelError(
@@ -201,26 +250,39 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         raise ParameterError("cannot slice a 0-chain")
     if values is None:
         values = _Values(T, f)
-    _check_generic_level(values.table, f, t)
+    _check_generic_level(values, f, t)
     plus = side == "+"
     hs = f.halfspace(t, ">" if plus else "<")
     level = hs.const
+    cuts = _CutPoints(values.points)
     # a generic level misses every vertex, so it meets exactly the
     # simplices with vertices on both sides of it
-    crossing = [(s, _split(s.vertices, hs, tuple(d - level for d in dots))[0])
-                for s, dots, (least, most) in zip(T.simplices, values.dots, values.ranges)
-                if least < level < most]
-    chain = SimplicialCurrent(T.params, T.degree - 1, _sections(crossing, plus),
-                              T.quadrature_degree).canonical()
+    crossing = []
+    for cell, dots, (least, most) in zip(values.cells, values.dots, values.ranges):
+        if least < level < most:
+            shifted = tuple(d - level for d in dots)
+            crossing.append((cell, shifted, _split(cell.vertices, hs, shifted, cut=cuts)[0]))
+    sections = _merge(_sections(crossing, plus))
+    # every vertex of a section is a cut point: rank the cut points alone
+    first = cuts.first
+    points, rank = _ranked(cuts.points[first:])
+    ranked = _merge(_Cell(tuple(rank[i - first] for i in cell.vertices), cell.multiplicity)
+                    for cell in sections)
+    chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
+                              T.quadrature_degree)
     _check_on_level(chain, f, t)
     residual = 0.0
     if certify:
-        formal = _formula(T, hs, crossing, plus)
+        formal = _formula(crossing, hs, plus, cuts)
         if chain.canonical() != chain:
             raise InternalInvariantError("canonical() is not idempotent on the slice chain")
-        if formal.canonical() != chain:
+        if _merge(formal) != sections:
             raise InternalInvariantError("the sections differ from the canonical formula chain")
-        residual = _certificate(chain, formal)
+        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts.points, formal)))
+        if residual != 0.0:
+            # both checks above merge on ids; the pairings see coordinates
+            raise InternalInvariantError(
+                f"the slice chain and the formula chain pair differently: residual {residual:.3e}")
     return SliceResult(chain=chain, mass=mass(chain), residual=residual,
                        level=t, side=side,
                        middle_dimension=(chain.degree == T.params.n))
@@ -229,41 +291,51 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
 def _sections(crossing, plus: bool) -> list:
     """The faces of the kept clip pieces that lie on the level, signed.
 
-    ``crossing`` pairs each simplex the level crosses with its kept
-    pieces, as (piece, values, share) triples.  A piece with exactly one
-    off-level vertex i has its face opposite i on the level, and the
-    formula takes that face from -d(T|{f>t}) with multiplicity
+    ``crossing`` holds, for each simplex the level crosses, its vertex
+    ids and multiplicity as a cell, its vertices' values and its kept
+    pieces, as (piece, values, share) triples on ids.  A piece with
+    exactly one off-level vertex i has its face opposite i on the level,
+    and the formula takes that face from -d(T|{f>t}) with multiplicity
     -(-1)^i mult, or from d(T|{f<t}) with +(-1)^i mult.  The formula's
     other faces cancel within each simplex: pieces share their interior
     faces, and the clip subdivides a face of the simplex as it clips
-    that face alone.
+    that face alone.  Returns the faces as unmerged cells.
     """
     faces = []
-    for s, pieces in crossing:
+    for cell, _, pieces in crossing:
+        mult = cell.multiplicity
         for piece, piece_values, _ in pieces:
             off = [i for i, v in enumerate(piece_values) if v != 0]
             if len(off) == 1:
                 i = off[0]
                 negate = plus == (i % 2 == 0)
-                faces.append(Simplex._trusted(piece[:i] + piece[i + 1:],
-                                              -s.multiplicity if negate else s.multiplicity))
+                faces.append(_Cell(piece[:i] + piece[i + 1:], -mult if negate else mult))
     return faces
 
 
-def _formula(T: SimplicialCurrent, hs: HalfSpace, crossing, plus: bool) -> SimplicialCurrent:
+def _formula(crossing, hs: HalfSpace, plus: bool, cuts: _CutPoints) -> list:
     """The uncancelled defining combination over the crossing simplices.
 
     (dT)|{f>t} - d(T|{f>t}) for the plus side, d(T|{f<t}) - (dT)|{f<t}
-    for the minus side, with T|{f>t} (or T|{f<t}) the kept pieces of
-    ``crossing`` and (dT)|{f>t} clipped afresh.
+    for the minus side, as cells on the ids of ``cuts``: T|{f>t} (or
+    T|{f<t}) is the kept pieces of ``crossing``, each boundary is merged
+    as :func:`ruminslice.currents.boundary` merges it, and (dT)|{f>t} is
+    clipped afresh, with its faces' values looked up from ``crossing``.
     """
-    cut = T.with_simplices([s for s, _ in crossing])
-    restricted_boundary = restrict_to_set(boundary(cut), [hs])
-    boundary_of_restricted = boundary(cut.with_simplices(
-        Simplex._trusted(piece, s.multiplicity) for s, pieces in crossing for piece, _, _ in pieces))
+    value = {}
+    for cell, shifted, _ in crossing:
+        value.update(zip(cell.vertices, shifted))
+    restricted_boundary = []
+    for face in _merge(_faces(cell for cell, _, _ in crossing)):
+        kept = _split(face.vertices, hs, tuple(value[i] for i in face.vertices), cut=cuts)[0]
+        restricted_boundary.extend(_Cell(piece, face.multiplicity) for piece, _, _ in kept)
+    boundary_of_restricted = _merge(_faces(
+        _Cell(piece, cell.multiplicity) for cell, _, pieces in crossing for piece, _, _ in pieces))
     if plus:
-        return restricted_boundary - boundary_of_restricted
-    return boundary_of_restricted - restricted_boundary
+        first, second = restricted_boundary, boundary_of_restricted
+    else:
+        first, second = boundary_of_restricted, restricted_boundary
+    return first + [_Cell(cell.vertices, -cell.multiplicity) for cell in second]
 
 
 def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:

@@ -40,3 +40,80 @@ def tangent_at(params, simplex, coords):
                                 {(i,): c for i, c in enumerate(framed) if c != 0})
         result = wedge(result, grade_one)
     return result
+
+
+# -- the coordinate merge and slice, the oracles of the vertex-id kernel -------
+
+
+def _inversion_sign(order) -> int:
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def coordinate_canonical(chain):
+    """``canonical()`` by sorting coordinate tuples, simplex by simplex.
+
+    The merge as it was before vertices were interned: each simplex's
+    vertices are sorted lexicographically, the multiplicity signed by the
+    permutation's parity, and equal vertex tuples summed.
+    """
+    from ruminslice import Simplex
+
+    merged = {}
+    for s in chain.simplices:
+        order = sorted(range(len(s.vertices)), key=lambda i: s.vertices[i])
+        key = tuple(s.vertices[i] for i in order)
+        merged[key] = merged.get(key, 0) + _inversion_sign(order) * s.multiplicity
+    return chain.with_simplices(Simplex._trusted(v, m) for v, m in sorted(merged.items())
+                                if m != 0)
+
+
+def coordinate_boundary(chain):
+    """``boundary()`` with faces on coordinate tuples and :func:`coordinate_canonical`."""
+    from ruminslice import Simplex, SimplicialCurrent
+
+    faces = [Simplex._trusted(s.vertices[:i] + s.vertices[i + 1:],
+                              s.multiplicity if i % 2 == 0 else -s.multiplicity)
+             for s in chain.simplices for i in range(len(s.vertices))]
+    return coordinate_canonical(SimplicialCurrent(chain.params, chain.degree - 1, faces,
+                                                  chain.quadrature_degree))
+
+
+def coordinate_slice(T, f, t, side):
+    """(chain, formula) of a slice computed on coordinate tuples throughout.
+
+    The crossing simplices are clipped on coordinates, the sections are the
+    faces of the kept pieces opposite their one off-level vertex, merged by
+    :func:`coordinate_canonical`, and the formula is
+    (dT)|{f>t} - d(T|{f>t}) (or d(T|{f<t}) - (dT)|{f<t}) over the crossing
+    simplices, each boundary merged by :func:`coordinate_boundary` and
+    (dT)|{f>t} clipped afresh.
+    """
+    from ruminslice import Simplex, SimplicialCurrent, restrict_to_set
+    from ruminslice.clipping import _split
+
+    plus = side == "+"
+    hs = f.halfspace(t, ">" if plus else "<")
+    crossing = []
+    for s in T.simplices:
+        values = tuple(hs.value(v) for v in s.vertices)
+        if min(values) < 0 < max(values):
+            crossing.append((s, _split(s.vertices, hs, values)[0]))
+    faces = []
+    for s, pieces in crossing:
+        for piece, values, _ in pieces:
+            off = [i for i, v in enumerate(values) if v != 0]
+            if len(off) == 1:
+                i = off[0]
+                negate = plus == (i % 2 == 0)
+                faces.append(Simplex._trusted(piece[:i] + piece[i + 1:],
+                                              -s.multiplicity if negate else s.multiplicity))
+    chain = coordinate_canonical(SimplicialCurrent(T.params, T.degree - 1, faces,
+                                                   T.quadrature_degree))
+    cut = T.with_simplices([s for s, _ in crossing])
+    restricted_boundary = restrict_to_set(coordinate_boundary(cut), [hs])
+    boundary_of_restricted = coordinate_boundary(cut.with_simplices(
+        Simplex._trusted(piece, s.multiplicity) for s, pieces in crossing for piece, _, _ in pieces))
+    if plus:
+        return chain, restricted_boundary - boundary_of_restricted
+    return chain, boundary_of_restricted - restricted_boundary

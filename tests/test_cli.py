@@ -255,3 +255,81 @@ class TestReportCommand:
                      "--properties", "1,zebra"]) == 2
         assert main(["report", "--chain", SQUARE, "--f", "x1",
                      "--properties", "9"]) == 2
+
+
+class TestUnwritableOutput:
+    """An --out path that cannot be written is a usage error: exit 2, one line."""
+
+    COMMANDS = {
+        "slice": ["slice", "--chain", CUBE, "--f", "x1", "--t", "1/3"],
+        "coarea": ["coarea", "--chain", CUBE, "--f", "x1", "--a", "0", "--b", "1",
+                   "--grid", "4"],
+    }
+
+    def assert_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory(self, capsys, tmp_path, command):
+        self.assert_one_error_line(capsys, self.COMMANDS[command] + ["--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_directory(self, capsys, tmp_path, command):
+        target = tmp_path / "no-such-dir" / "out.txt"
+        self.assert_one_error_line(capsys, self.COMMANDS[command] + ["--out", str(target)])
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_permission(self, capsys, tmp_path, monkeypatch, command):
+        # simulated, since a privileged user may write anywhere
+        target = str(tmp_path / "locked.txt")
+        real_open = open
+
+        def guarded_open(path, *args, **kwargs):
+            if str(path) == target:
+                raise PermissionError(13, "Permission denied", target)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", guarded_open)
+        self.assert_one_error_line(capsys, self.COMMANDS[command] + ["--out", target])
+
+
+class TestArgumentRanges:
+    """Out-of-range counts, levels and tolerances are argparse usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-complex", "--n", "1", "--count", "-3"],
+        ["verify-complex", "--n", "1", "--count", "0"],
+        ["verify-lemmas", "--n", "1", "--count", "0"],
+        ["verify-lemmas", "--n", "1", "--count", "two"],
+        ["report", "--chain", CUBE, "--f", "x1", "--levels", "-2"],
+        ["report", "--chain", CUBE, "--f", "x1", "--levels", "0"],
+        ["coarea", "--chain", CUBE, "--f", "x1", "--a", "0", "--b", "1", "--grid", "4",
+         "--tol", "nan"],
+        ["coarea", "--chain", CUBE, "--f", "x1", "--a", "0", "--b", "1", "--grid", "4",
+         "--tol", "inf"],
+        ["coarea", "--chain", CUBE, "--f", "x1", "--a", "0", "--b", "1", "--grid", "4",
+         "--tol", "-0.5"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "must be" in captured.err or "not an integer" in captured.err
+
+    def test_smallest_valid_values(self, capsys):
+        assert main(["verify-complex", "--n", "1", "--count", "1"]) == 0
+        assert "1/1 exact" in capsys.readouterr().out
+        assert main(["report", "--chain", SQUARE, "--f", "x1", "--levels", "1",
+                     "--properties", "1"]) == 0
+        assert "plus/minus slices equal at 1/1 generic levels" in capsys.readouterr().out
+        assert main(["coarea", "--chain", CUBE, "--f", "x1", "--a", "0", "--b", "1",
+                     "--grid", "4", "--tol", "0"]) == 0
+        assert "bound 1 [PASS]" in capsys.readouterr().out

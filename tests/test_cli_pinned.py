@@ -1,0 +1,40 @@
+"""Pinned CLI output: ``slice``, ``coarea`` and ``report`` on the fixtures.
+
+``cli_pinned.json`` holds, for each invocation, the argument list, the
+exit code and the exact stdout and stderr the CLI gave when the file was
+written.  The deterministic commands must keep giving them byte for
+byte, so a change to the slicing kernels that moves a digit, a vertex or
+a message fails here.  The cases cover both slice sides on the three
+fixtures (a horizontal, a mixed and a vertical f on the cube), three
+levels that hit a vertex (exit 2), a ``coarea`` sweep with rational
+norms, one with irrational norms and the grid-3 sweep that prints
+``[FAIL]`` (exit 1), and ``report`` on each fixture.  Fixture paths are
+relative to the repository root, where the tests run them.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ruminslice.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = json.loads((Path(__file__).resolve().parent / "cli_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["args"]) for c in CASES])
+def test_cli_output_is_pinned(case, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = main(case["args"])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
+
+
+def test_pinned_cases_cover_every_exit_code():
+    assert {c["exit"] for c in CASES} == {0, 1, 2}
+    assert {c["args"][0] for c in CASES} == {"slice", "coarea", "report"}
