@@ -8,10 +8,9 @@ smallest, which makes the induced subdivision of any shared face
 identical on both sides; combinatorial boundary cancellation therefore
 survives clipping.
 
-The value a . p - c of each input vertex is computed once (or passed in
-by a caller that already has it) and carried down the recursion; a cut
-point's value is exactly 0.  :meth:`HalfSpace.sides` is the one rule
-that turns values into sides.
+The caller passes the value a . p - c of each input vertex, and the
+split carries it down the recursion; a cut point's value is exactly 0.
+:meth:`HalfSpace.sides` is the one rule that turns values into sides.
 
 The kernel works on vertex labels: coordinate tuples, or integer
 vertex ids numbered in coordinate order, with a function that names the
@@ -22,9 +21,10 @@ The split also records each piece's share of the parameter volume of
 the simplex it was cut from.  The cut point (1 - lam) v_i + lam v_j
 replaces v_i in one piece and v_j in the other, and those pieces are
 the fractions 1 - lam and lam of the simplex, so shares multiply down
-the recursion.  :func:`split_simplex` returns the pieces alone; the
-library's clipping, measures and slices use the kernel ``_split``,
-which keeps each piece's values and share with it.
+the recursion.  ``_split`` is the one clipping routine: restriction,
+the ramp weight's pre-split, slices and the level-window measure all
+call it, and only the level-window measure reads the shares (see
+:mod:`ruminslice.currents`).
 
 Geometry is exact only.  Every finite float is a dyadic rational, so the
 public constructors (:class:`HalfSpace` here, ``Simplex``,
@@ -104,24 +104,13 @@ def _cut_point(a, b, va, vb):
     return tuple(x + lam * (y - x) for x, y in zip(a, b))
 
 
-def split_simplex(vertices, halfspace: HalfSpace, values=None):
+def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cut_point):
     """Split one simplex along the hyperplane of ``halfspace``.
 
-    Returns (kept, dropped): lists of vertex tuples lying in the closed
-    half-space and its closed complement.  Pieces entirely inside the
-    hyperplane go to ``kept`` iff the half-space is closed.  ``values``
-    are the vertices' :meth:`HalfSpace.value`, when the caller has them.
-    Coordinates are exact (``Simplex`` converts floats on the way in).
-    """
-    simplex = tuple(vertices)
-    if values is None:
-        values = [halfspace.value(v) for v in simplex]
-    kept, dropped = _split(simplex, halfspace, tuple(values))
-    return [piece for piece, _, _ in kept], [piece for piece, _, _ in dropped]
-
-
-def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cut_point):
-    """:func:`split_simplex` on (piece, values, share) triples.
+    Returns (kept, dropped): lists of (piece, values, share) triples for
+    the pieces in the closed half-space and in its closed complement.
+    Pieces entirely inside the hyperplane are kept iff the half-space is
+    closed.
 
     ``simplex`` holds vertex labels: coordinate tuples, or any labels
     whose order is the lexicographic order of their points on every

@@ -30,15 +30,16 @@ the constant blade pairings).  A batch of forms is paired through a
 per-simplex moment table (see :func:`pair_forms_batch`), one pass over
 the nodes for the whole batch.
 
-The clip records each piece's share of its simplex's parameter volume
-(a cut at lam on an edge splits a share as lam : 1 - lam; see
-:mod:`ruminslice.clipping`), and a piece's E is its share times the
-simplex's.  So when the simplex's tangent is constant with a rational
-norm, a piece's mass is the whole mass times its share: the Fraction
-its own minors would give, with no minors computed.  Any other piece is
-measured like any simplex, from its own E, so float sums stay the same
-numbers.  A cut point lies strictly inside its edge, so no clip piece
-is degenerate.
+:func:`measure_of` is ``mass(restrict_to_set(T, planes))``.  Only the
+level-window measure of :mod:`ruminslice.slicing` reads the shares the
+clip records (a cut at lam on an edge splits a share as lam : 1 - lam;
+see :mod:`ruminslice.clipping`).  A piece's E is its share times the
+simplex's, so when the simplex's tangent is constant with a rational
+norm, a piece's mass is the whole mass times its share (see
+:func:`_whole`): the Fraction its own minors would give.  Any other
+piece is measured from its own E, so both measures add the same terms
+in the same order, float sums included.  A cut point lies strictly
+inside its edge, so no clip piece is degenerate.
 
 Chains merge on integer vertex ids (see :func:`_merge`): ``canonical()``
 and :func:`boundary` intern their vertices, hashing each once and
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import MultiVector, pair, wedge_vectors
-from .clipping import HalfSpace, _split, exact, split_simplex
+from .clipping import HalfSpace, _split, exact
 from .errors import (
     AdmissibilityError,
     DimensionMismatchError,
@@ -564,39 +565,6 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
 # -- clipping ---------------------------------------------------------------
 
 
-def _clip_pieces(vertices, halfspaces, values=None) -> list:
-    """The (piece, share) pairs of one simplex kept by every half-space, in clip order.
-
-    ``values`` are the vertices' :meth:`HalfSpace.value` for the first
-    half-space, when the caller has them.  For a later half-space with
-    the same coefficients (another level of the same function) a piece's
-    values are its values for the previous one shifted by the difference
-    of the constants; other values are evaluated.  A piece's share is
-    its part of the simplex's parameter volume (see
-    :func:`ruminslice.clipping._split`).
-    """
-    pieces = [(tuple(vertices), values, 1)]
-    previous = None
-    for hs in halfspaces:
-        shift = None
-        if previous is not None and previous.coeffs == hs.coeffs:
-            shift = previous.const - hs.const
-        clipped = []
-        for piece, piece_values, piece_share in pieces:
-            if shift is not None:
-                piece_values = tuple(v + shift for v in piece_values)
-            elif previous is not None or piece_values is None:
-                piece_values = tuple(hs.value(v) for v in piece)
-            clipped.extend(_split(piece, hs, piece_values, piece_share)[0])
-        pieces = clipped
-        previous = hs
-    return [(piece, piece_share) for piece, _, piece_share in pieces]
-
-
-def _halfspace_list(halfspaces) -> list:
-    return [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
-
-
 def _whole(T: SimplicialCurrent, index: int, whole: dict, need_mass: bool) -> tuple:
     """(whole mass, scales) of simplex ``index``, cached in ``whole``.
 
@@ -618,53 +586,23 @@ def _whole(T: SimplicialCurrent, index: int, whole: dict, need_mass: bool) -> tu
     return entry
 
 
-def _clipped_measure(T: SimplicialCurrent, cuts, whole: dict):
-    """mu_T of a region cut out by half-spaces, in simplex and clip order.
-
-    ``cuts`` yields (index, planes, values) in simplex order, for every
-    simplex that may meet the region: the half-spaces ``planes`` cut the
-    region out of simplex ``index`` (none when it lies inside), and
-    ``values`` are its vertices' values for the first plane, or None.
-    A simplex the clip leaves whole adds its whole mass.  A piece adds
-    the whole mass times its share when that scales (see :func:`_whole`),
-    else its own mass, so float sums add the same terms in the same
-    order as M(restrict_to_set(T, ...)).  ``whole`` caches the whole
-    masses; the calls of one sweep share it.
-    """
-    total = Fraction(0)
-    for index, planes, values in cuts:
-        s = T.simplices[index]
-        pieces = _clip_pieces(s.vertices, planes, values)
-        if not pieces:
-            continue
-        weight = abs(s.multiplicity)
-        uncut = pieces[0][1] == 1
-        value, scales = _whole(T, index, whole, uncut)
-        if uncut:
-            total = total + weight * value
-            continue
-        for piece, share in pieces:
-            if scales:
-                total = total + weight * (value * share)
-            else:
-                total = total + weight * _simplex_mass(
-                    T.params, Simplex._trusted(piece, s.multiplicity), T.quadrature_degree)
-    return total
-
-
 def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     """T restricted to an intersection of affine half-spaces, exactly.
 
-    Each simplex is subdivided along the bounding hyperplanes; kept
-    pieces inherit multiplicity and orientation.  Coordinates are exact
-    (floats were converted by ``Simplex``), so every cut point lies
-    strictly inside its edge and no piece is a degenerate sliver.
+    Each simplex is subdivided along the bounding hyperplanes, one
+    half-space after the other; kept pieces inherit multiplicity and
+    orientation.  Coordinates are exact (floats were converted by
+    ``Simplex``), so every cut point lies strictly inside its edge and no
+    piece is a degenerate sliver.
     """
-    halfspaces = _halfspace_list(halfspaces)
+    halfspaces = [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
     clipped = []
     for s in T.simplices:
-        clipped.extend(Simplex._trusted(piece, s.multiplicity)
-                       for piece, _ in _clip_pieces(s.vertices, halfspaces))
+        pieces = [s.vertices]
+        for hs in halfspaces:
+            pieces = [kept for piece in pieces
+                      for kept, _, _ in _split(piece, hs, tuple(hs.value(v) for v in piece))[0]]
+        clipped.extend(Simplex._trusted(piece, s.multiplicity) for piece in pieces)
     return T.with_simplices(clipped)
 
 
@@ -672,7 +610,8 @@ def measure_of(T: SimplicialCurrent, region):
     """mu_T(region): region is a half-space list (exact) or a predicate.
 
     Predicates are sampled at quadrature nodes, so they are only as good
-    as the rule; half-space lists go through exact clipping.
+    as the rule; half-space lists go through exact clipping, as the mass
+    of :func:`restrict_to_set`.
     """
     if callable(region):
         total = Fraction(0)
@@ -684,8 +623,7 @@ def measure_of(T: SimplicialCurrent, region):
                     acc = acc + weight * _tangent_norm(tangent)
             total = total + abs(s.multiplicity) * acc
         return total
-    planes = _halfspace_list(region)
-    return _clipped_measure(T, ((index, planes, None) for index in range(len(T.simplices))), {})
+    return mass(restrict_to_set(T, region))
 
 
 def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -747,18 +685,16 @@ class WeightedCurrent:
 
     def __init__(self, chain: SimplicialCurrent, weight):
         if isinstance(weight, GammaWeight):
-            low, high = weight.level_halfspaces()
+            planes = weight.level_halfspaces()
             pieces = []
             for s in chain.simplices:
-                below, rest = [], [s]
-                for hs in (low, high):
-                    next_rest = []
-                    for piece in rest:
-                        kept, dropped = split_simplex(piece.vertices, hs)
-                        next_rest.extend(Simplex._trusted(p, piece.multiplicity) for p in kept)
-                        below.extend(Simplex._trusted(p, piece.multiplicity) for p in dropped)
-                    rest = next_rest
-                pieces.extend(below + rest)
+                below, rest = [], [s.vertices]
+                for hs in planes:
+                    split = [_split(piece, hs, tuple(hs.value(v) for v in piece))
+                             for piece in rest]
+                    below.extend(p for _, dropped in split for p, _, _ in dropped)
+                    rest = [p for kept, _ in split for p, _, _ in kept]
+                pieces.extend(Simplex._trusted(p, s.multiplicity) for p in below + rest)
             chain = chain.with_simplices(pieces)
         self.chain = chain
         self.weight = weight

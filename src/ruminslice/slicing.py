@@ -68,15 +68,17 @@ from fractions import Fraction
 from . import linalg
 from .clipping import HalfSpace, _cut_point, _split, exact
 from .currents import (
+    Simplex,
     SimplicialCurrent,
     _blade_pairings,
     _Cell,
-    _clipped_measure,
     _faces,
     _from_cells,
     _intern,
     _merge,
     _ranked,
+    _simplex_mass,
+    _whole,
     boundary,
     mass,
     sqrt_exact_or_float,
@@ -342,12 +344,18 @@ def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
     """max over blades B of |chain(dw_B) - formal(dw_B)|, as a float.
 
     The value is exactly 0.0 when ``chain`` is the canonical form of
-    ``formal``.
+    ``formal``, and nonzero whenever an exact difference is: a gap below
+    the float range reads as the least positive float, one above it as
+    inf.
     """
     direct = _blade_pairings(chain)
     via_formula = _blade_pairings(formal)
-    return max((abs(float(direct.get(b, 0) - via_formula.get(b, 0)))
-                for b in direct.keys() | via_formula.keys()), default=0.0)
+    gap = max((abs(direct.get(b, 0) - via_formula.get(b, 0))
+               for b in direct.keys() | via_formula.keys()), default=0)
+    try:
+        return float(gap) or (math.ulp(0.0) if gap else 0.0)
+    except OverflowError:
+        return math.inf
 
 
 def _check_on_level(chain: SimplicialCurrent, f: AffineFunction, t):
@@ -390,24 +398,41 @@ def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, values: _V
 
     A simplex with no vertex above lo or none below hi adds nothing (a
     face in a plane included, as the open half-spaces drop it), one with
-    every vertex in [lo, hi] adds its whole mass, and any other is
-    clipped by the planes its range crosses.  The pieces and the order
-    of the terms are those of clipping every simplex by both planes.
+    every vertex in [lo, hi] adds its whole mass, and any other is split
+    by the planes its range crosses.  A kept piece adds the whole mass
+    times its share when that scales (see :func:`_whole`), else its own
+    mass: the terms of M(restrict_to_set(T, [f > lo, f < hi])), in order.
+    ``whole`` caches the whole masses; the calls of one sweep share it.
     """
     below, above = f.halfspace(lo, ">"), f.halfspace(hi, "<")
     low, high = below.const, above.const
-    cuts = []
+    # a piece's value for {f < hi} is its value for {f > lo} shifted
+    shift = low - high
+    total = Fraction(0)
     for index, (dots, (least, most)) in enumerate(zip(values.dots, values.ranges)):
         if most <= low or least >= high:
             continue
+        s = T.simplices[index]
+        weight = abs(s.multiplicity)
+        if low <= least and most <= high:
+            total = total + weight * _whole(T, index, whole, True)[0]
+            continue
         if least < low:
-            planes = (below, above) if most > high else (below,)
-            cuts.append((index, planes, tuple(d - low for d in dots)))
-        elif most > high:
-            cuts.append((index, (above,), tuple(d - high for d in dots)))
+            pieces = _split(s.vertices, below, tuple(d - low for d in dots))[0]
+            if most > high:
+                pieces = [kept for piece, piece_values, share in pieces
+                          for kept in _split(piece, above,
+                                             tuple(v + shift for v in piece_values), share)[0]]
         else:
-            cuts.append((index, (), None))
-    return _clipped_measure(T, cuts, whole)
+            pieces = _split(s.vertices, above, tuple(d - high for d in dots))[0]
+        value, scales = _whole(T, index, whole, False)
+        for piece, _, share in pieces:
+            if scales:
+                total = total + weight * (value * share)
+            else:
+                total = total + weight * _simplex_mass(
+                    T.params, Simplex._trusted(piece, s.multiplicity), T.quadrature_degree)
+    return total
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):

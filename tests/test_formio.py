@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ruminslice import (
     ChainFormatError,
@@ -152,6 +155,32 @@ class TestRoundTrip:
                     assert parse_form(print_form(form), params) == form
                     cases += 1
         assert cases >= 50
+
+
+@st.composite
+def forms(draw):
+    """A form over H^1 or H^2: up to 3 blades of one grade, each with a
+    polynomial of up to 3 terms of degree at most 2 per variable."""
+    params = HeisParams(draw(st.sampled_from((1, 2))))
+    grade = draw(st.integers(min_value=0, max_value=params.dim))
+    blades = draw(st.lists(st.sampled_from(list(combinations(range(params.dim), grade))),
+                           max_size=3, unique=True))
+    exponent = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(params.dim)))
+    coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    return PolyForm(params, grade, {
+        blade: Poly(params.dim, draw(st.dictionaries(exponent, coefficient, max_size=3)))
+        for blade in blades})
+
+
+class TestGeneratedRoundTrip:
+    @given(forms())
+    def test_print_then_parse_is_the_identity(self, form):
+        parsed = parse_form(print_form(form), form.params)
+        if form.is_zero():
+            # the zero form of any grade prints as 0, which parses at grade 0
+            assert parsed == PolyForm.zero(form.params, 0)
+        else:
+            assert parsed == form
 
 
 class TestAffine:

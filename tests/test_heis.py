@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ruminslice import (
     DimensionMismatchError,
@@ -71,6 +73,37 @@ class TestGroupLaw:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             group_mul(pt(1, 2, 3), Point.origin(2))
+
+
+coordinate = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def points(draw, count):
+    """``count`` exact points of one group H^n, n = 1..3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    return [Point.from_coords(draw(st.tuples(*(coordinate for _ in range(2 * n + 1)))))
+            for _ in range(count)]
+
+
+class TestGeneratedGroupLaws:
+    @given(points(1))
+    def test_identity_and_inverse(self, pts):
+        (p,) = pts
+        e = Point.origin(p.n)
+        assert group_mul(p, e) == group_mul(e, p) == p
+        assert group_mul(p, group_inv(p)) == group_mul(group_inv(p), p) == e
+
+    @given(points(3))
+    def test_associativity(self, pts):
+        p, q, r = pts
+        assert group_mul(group_mul(p, q), r) == group_mul(p, group_mul(q, r))
+
+    @given(points(2), st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20))
+    def test_dilation_is_a_homomorphism(self, pts, r):
+        p, q = pts
+        assert dilate(r, group_mul(p, q)) == group_mul(dilate(r, p), dilate(r, q))
+        assert dilate(r, group_inv(p)) == group_inv(dilate(r, p))
 
 
 class TestDilations:

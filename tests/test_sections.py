@@ -32,6 +32,7 @@ from test_sweep_kernel import (
 
 from ruminslice import (
     DegenerateLevelError,
+    GammaWeight,
     HeisParams,
     InternalInvariantError,
     ParameterError,
@@ -40,6 +41,7 @@ from ruminslice import (
     boundary,
     mass,
     measure_of,
+    restrict_by_fn,
     restrict_to_set,
     slice_minus,
     slice_plus,
@@ -291,6 +293,30 @@ def test_sweep_cells_are_the_per_piece_numbers(coeffs, a, grid):
         lo = a + width * i
         assert_same_number(row.band_bound, lip * oracle_between(T, f, lo, lo + width) / width)
     assert_same_number(result.band_measure, lip * oracle_between(T, f, a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=exact_chains(), coeffs=st.tuples(*(coefficient for _ in range(5))),
+       u=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+       v=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100))
+def test_ramp_pre_split_is_the_three_bands(T, coeffs, u, v):
+    # restrict_by_fn splits each simplex by {f > t}, then its kept pieces
+    # by {f > t + h}: it holds the pieces of {f <= t}, {t < f <= t + h} and
+    # {f > t + h}, simplex by simplex, as restrict_to_set clips them
+    f = function_for(T, coeffs[:T.params.dim])
+    assume(len({f(p) for p in T.vertices()}) > 1)
+    t, top = sorted((level_between(f, T, u), level_between(f, T, v)))
+    assume(t < top and not {t, top} & {f(p) for p in T.vertices()})
+    weight = GammaWeight(f.coeffs, f.const, t, top - t)
+    bands = ([f.halfspace(t, "<=")],
+             [f.halfspace(t, ">"), f.halfspace(top, "<=")],
+             [f.halfspace(t, ">"), f.halfspace(top, ">")])
+    expected = []
+    for s in T.simplices:
+        single = T.with_simplices([s])
+        expected.extend(piece for band in bands
+                        for piece in restrict_to_set(single, band).simplices)
+    assert restrict_by_fn(T, weight).chain.simplices == tuple(expected)
 
 
 # -- boundary and slicing -----------------------------------------------------

@@ -13,6 +13,7 @@ certificate to notice.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -195,6 +196,43 @@ def test_changing_a_formula_multiplicity_is_detected(certified):
             simplices[index] = Simplex._trusted(s.vertices, s.multiplicity + F(1, 3))
             broken = formal.with_simplices(simplices)
             assert slicing._certificate(chain, broken) > 0
+
+
+# float(1 / 10**400) is 0.0 and float(10**400) overflows: the certificate
+# decides on the exact differences, and reads them out of float range as
+# the least positive float and as inf
+GAPS = [(F(1, 10**400), math.ulp(0.0)), (F(10**400), math.inf)]
+
+
+@pytest.mark.parametrize("gap,residual", GAPS)
+def test_gaps_outside_the_float_range_are_detected(certified, gap, residual):
+    for T, f, t in exact_cases():
+        chain, formal = certificate_parts(certified, T, f, t)
+        s = formal.simplices[0]
+        broken = formal.with_simplices(
+            (Simplex._trusted(s.vertices, s.multiplicity + gap),) + formal.simplices[1:])
+        assert slicing._certificate(chain, broken) == residual
+
+
+@pytest.mark.parametrize("gap,residual", GAPS)
+def test_a_gap_outside_the_float_range_fails_the_slice(monkeypatch, gap, residual):
+    # the fault is in the pairing alone, so only the exact comparison sees it
+    original = slicing._blade_pairings
+    nudged = []
+
+    def faulty(T):
+        totals = original(T)
+        if T.canonical() != T:  # the uncancelled formula chain
+            blade = min(totals)
+            totals[blade] += gap
+            nudged.append(blade)
+        return totals
+
+    monkeypatch.setattr(slicing, "_blade_pairings", faulty)
+    T = load_chain(FIXTURES / "cube_h1.json")
+    with pytest.raises(InternalInvariantError, match=f"pair differently: residual {residual:.3e}"):
+        slice_plus(T, affine(1, 0, 0), F(1, 2))
+    assert len(nudged) == 1
 
 
 @pytest.mark.parametrize("fault", ["doubles", "drops the last simplex"])

@@ -34,7 +34,7 @@ from ruminslice import (
     slice_minus,
     slice_plus,
 )
-from ruminslice.clipping import _cut_point, _edge_key, split_simplex
+from ruminslice.clipping import _cut_point, _edge_key, _split
 from ruminslice.formio import load_chain
 from ruminslice.slicing import AffineFunction, coarea_sweep, measure_between
 
@@ -45,7 +45,7 @@ F = Fraction
 
 
 def oracle_split(vertices, hs):
-    """split_simplex with every sub-simplex's values recomputed."""
+    """The split with every sub-simplex's values recomputed, as vertex tuples."""
     kept, dropped = [], []
     stack = [tuple(vertices)]
     while stack:
@@ -151,11 +151,25 @@ def float_near_plane(level):
     ])
 
 
-# -- split_simplex ------------------------------------------------------------
+# -- the split kernel ---------------------------------------------------------
+
+
+def split_pieces(vertices, hs, values):
+    """``_split`` of a coordinate simplex, as (kept, dropped) vertex tuples.
+
+    Checks on the way that the values carried to each piece are the ones
+    recomputed there, and that the shares of all pieces sum to 1.
+    """
+    kept, dropped = _split(tuple(vertices), hs, tuple(values))
+    for piece, piece_values, _ in kept + dropped:
+        assert piece_values == tuple(hs.value(v) for v in piece)
+    assert sum(share for _, _, share in kept + dropped) == 1
+    return [piece for piece, _, _ in kept], [piece for piece, _, _ in dropped]
 
 
 @pytest.mark.parametrize("op", [">", ">=", "<", "<="])
 def test_split_matches_oracle_with_and_without_values(op):
+    # the kernel carries the caller's values down; the oracle recomputes them
     rng = random.Random(ord(op[0]) + len(op))
     for _ in range(40):
         dim = 3
@@ -163,9 +177,7 @@ def test_split_matches_oracle_with_and_without_values(op):
                     for _ in range(rng.randint(1, 4))]
         hs = HalfSpace(tuple(F(rng.randint(-2, 2)) for _ in range(dim)), F(rng.randint(-2, 2)), op)
         values = [hs.value(v) for v in vertices]
-        expected = oracle_split(vertices, hs)
-        assert split_simplex(vertices, hs) == expected
-        assert split_simplex(vertices, hs, values) == expected
+        assert split_pieces(vertices, hs, values) == oracle_split(vertices, hs)
 
 
 def test_split_float_vertices_on_the_plane():
@@ -176,8 +188,8 @@ def test_split_float_vertices_on_the_plane():
                         (0.5 - 1e-14, 2.0, 0.0)]).vertices
     values = [hs.value(v) for v in vertices]
     assert hs.sides(values) == (1, -1, 1, -1)
-    kept, dropped = split_simplex(vertices, hs, values)
-    assert (kept, dropped) == split_simplex(vertices, hs) == oracle_split(vertices, hs)
+    kept, dropped = split_pieces(vertices, hs, values)
+    assert (kept, dropped) == oracle_split(vertices, hs)
     assert (len(kept), len(dropped)) == (3, 3)
     assert all(hs.value(v) >= 0 for piece in kept for v in piece)
     assert all(hs.value(v) <= 0 for piece in dropped for v in piece)
