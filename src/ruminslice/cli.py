@@ -92,15 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("verify-complex", help="exactness and quotient checks for the complex")
-    pc.add_argument("--n", type=int, choices=(1, 2), required=True)
-    pc.add_argument("--seed", type=int, default=7)
-    pc.add_argument("--count", type=_positive_int, default=100)
-
-    pl = sub.add_parser("verify-lemmas", help="commutation identity batteries")
-    pl.add_argument("--n", type=int, choices=(1, 2), required=True)
-    pl.add_argument("--seed", type=int, default=7)
-    pl.add_argument("--count", type=_positive_int, default=50)
+    for name, help_text, count in (
+            ("verify-complex", "exactness and quotient checks for the complex", 100),
+            ("verify-lemmas", "commutation identity batteries", 50)):
+        pv = sub.add_parser(name, help=help_text)
+        pv.add_argument("--n", type=int, choices=(1, 2), required=True)
+        pv.add_argument("--seed", type=int, default=7)
+        pv.add_argument("--count", type=_positive_int, default=count)
 
     ps = sub.add_parser("slice", help="slice a chain at one level")
     ps.add_argument("--chain", required=True)
@@ -133,14 +131,9 @@ def _load(args):
     return chain, f
 
 
-def _cmd_verify_complex(args) -> int:
-    lines, ok = run_batteries([complex_battery(args.n, args.seed, args.count)])
-    print("\n".join(lines))
-    return 0 if ok else 1
-
-
-def _cmd_verify_lemmas(args) -> int:
-    lines, ok = run_batteries([lemma_battery(args.n, args.seed, args.count)])
+def _cmd_verify(args) -> int:
+    battery = complex_battery if args.command == "verify-complex" else lemma_battery
+    lines, ok = run_batteries([battery(args.n, args.seed, args.count)])
     print("\n".join(lines))
     return 0 if ok else 1
 
@@ -209,8 +202,8 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "verify-complex": _cmd_verify_complex,
-    "verify-lemmas": _cmd_verify_lemmas,
+    "verify-complex": _cmd_verify,
+    "verify-lemmas": _cmd_verify,
     "slice": _cmd_slice,
     "coarea": _cmd_coarea,
     "report": _cmd_report,

@@ -68,7 +68,7 @@ from .errors import (
 from .forms import PolyForm
 from .heis import HeisParams, Point, frame_change
 from .quadrature import parameter_nodes, rule_for_degree
-from .rumin import RuminClass, _generator_columns, full_blades
+from .rumin import RuminClass, _ideal_columns, full_blades
 
 DEFAULT_QUADRATURE_DEGREE = 5
 
@@ -480,8 +480,8 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
 def is_admissible(V: MultiVector, n: int) -> bool:
     """True iff V annihilates the contact ideal generators at its grade.
 
-    The generators theta ^ blade and dtheta ^ blade are the columns of
-    :func:`ruminslice.rumin._generator_columns` over the k-blades, dotted
+    The generators theta ^ blade and dtheta ^ blade are the cached columns
+    of :func:`ruminslice.rumin._ideal_columns` over the k-blades, dotted
     with V's blade vector.  Defined for grades k <= n; such tangents make
     the pairing with quotient classes independent of the representative.
     """
@@ -490,10 +490,8 @@ def is_admissible(V: MultiVector, n: int) -> bool:
         raise ParameterError(f"admissibility is defined for grades <= n, got {k}")
     if k == 0:
         return True
-    columns = (_generator_columns(n, "theta", k - 1, False)
-               + _generator_columns(n, "dtheta", k - 2, False))
     vector = [V.coeffs.get(blade, 0) for blade in full_blades(n, k)]
-    return not any(linalg.mat_vec(columns, vector))
+    return not any(linalg.mat_vec(_ideal_columns(n, k), vector))
 
 
 def pair_current(T: SimplicialCurrent, c: RuminClass):
@@ -586,6 +584,12 @@ def _whole(T: SimplicialCurrent, index: int, whole: dict, need_mass: bool) -> tu
     return entry
 
 
+def _check_coeffs(T: SimplicialCurrent, coeffs) -> None:
+    """Refuse a function or half-space over another group than T: zip would truncate it."""
+    if len(coeffs) != T.params.dim:
+        raise DimensionMismatchError(f"{len(coeffs)} coefficients for a chain over H^{T.params.n}")
+
+
 def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     """T restricted to an intersection of affine half-spaces, exactly.
 
@@ -596,6 +600,8 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
     piece is a degenerate sliver.
     """
     halfspaces = [halfspaces] if isinstance(halfspaces, HalfSpace) else list(halfspaces)
+    for hs in halfspaces:
+        _check_coeffs(T, hs.coeffs)
     clipped = []
     for s in T.simplices:
         pieces = [s.vertices]
@@ -663,6 +669,8 @@ class GammaWeight:
         object.__setattr__(self, "fconst", exact(self.fconst, "constant"))
         object.__setattr__(self, "t", exact(self.t, "level"))
         object.__setattr__(self, "h", exact(self.h, "band width"))
+        if not self.h > 0:
+            raise ParameterError(f"band width must be positive, got {self.h}")
 
     def level_halfspaces(self):
         low = HalfSpace(self.fcoeffs, self.t - self.fconst, ">")
@@ -685,6 +693,7 @@ class WeightedCurrent:
 
     def __init__(self, chain: SimplicialCurrent, weight):
         if isinstance(weight, GammaWeight):
+            _check_coeffs(chain, weight.fcoeffs)
             planes = weight.level_halfspaces()
             pieces = []
             for s in chain.simplices:

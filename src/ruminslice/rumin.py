@@ -142,10 +142,16 @@ def _form_from_terms(params: HeisParams, grade: int, terms: dict) -> PolyForm:
 
 
 @lru_cache(maxsize=None)
+def _ideal_columns(n: int, grade: int) -> tuple:
+    """Columns of the theta ^ blade, then dtheta ^ blade, generators over k-blades."""
+    return (_generator_columns(n, "theta", grade - 1, False)
+            + _generator_columns(n, "dtheta", grade - 2, False))
+
+
+@lru_cache(maxsize=None)
 def _ideal_matrix(n: int, grade: int):
-    """Columns of (alpha ^ theta, beta ^ dtheta) generators over k-blades."""
-    columns = (_generator_columns(n, "theta", grade - 1, False)
-               + _generator_columns(n, "dtheta", grade - 2, False))
+    """Rows of the (alpha ^ theta, beta ^ dtheta) generator columns, with tags."""
+    columns = _ideal_columns(n, grade)
     tags = tuple([("alpha", b) for b in full_blades(n, grade - 1)]
                  + [("beta", b) for b in full_blades(n, grade - 2)])
     rows = linalg.transpose(columns) if columns else []
@@ -306,17 +312,6 @@ class RuminClass:
     def is_low(self) -> bool:
         return self.degree <= self.params.n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RuminClass)
-            and self.params == other.params
-            and self.degree == other.degree
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return hash((self.params, self.degree, self.payload))
-
 
 def rumin_class(params: HeisParams, degree: int, form: PolyForm) -> RuminClass:
     """Build a class from any representative / J element of the degree."""
@@ -376,42 +371,40 @@ def leibniz_defect(g: Poly, c: RuminClass) -> PolyForm:
 
 def leibniz_expected(g: Poly, c: RuminClass) -> PolyForm:
     """The closed form the defect must equal, per regime."""
-    params = c.params
-    n = params.n
-    k = c.degree
-    omega = c.payload
-    dg = d_poly(params, g)
-    if k < n:
-        return canonical_rep(wedge_forms(dg, omega))
-    if k > n:
-        return wedge_forms(dg, omega)
-    return middle_commutator_form(g, omega)
+    if c.degree == c.params.n:
+        return middle_commutator_form(g, c.payload)
+    image = wedge_forms(d_poly(c.params, g), c.payload)
+    return canonical_rep(image) if c.is_low else image
+
+
+def _bracket(g: Poly, omega: PolyForm) -> PolyForm:
+    """scr_L(g omega) - g scr_L(omega), by definition."""
+    return script_L(omega.scale(g)) - script_L(omega).scale(g)
+
+
+def _closed_bracket(dg: PolyForm, omega: PolyForm) -> PolyForm:
+    """The bracket's closed form L^(-1)( -(dg ^ omega)|horizontal )."""
+    return L_inv(-wedge_forms(dg, omega).strip_theta())
+
+
+def _middle_form(dg: PolyForm, omega: PolyForm, bracket: PolyForm) -> PolyForm:
+    """dg ^ (omega + theta ^ scr_L omega) + d(theta ^ bracket)."""
+    theta = PolyForm.theta(omega.params)
+    first = wedge_forms(dg, omega + wedge_forms(theta, script_L(omega)))
+    return first + exterior_d(wedge_forms(theta, bracket))
 
 
 def middle_commutator_form(g: Poly, omega: PolyForm) -> PolyForm:
     """dg ^ (omega + theta ^ scr_L omega) + d(theta ^ (scr_L(g omega) - g scr_L(omega)))."""
-    params = omega.params
-    theta = PolyForm.theta(params)
-    dg = d_poly(params, g)
-    bracket = script_L(omega.scale(g)) - script_L(omega).scale(g)
-    first = wedge_forms(dg, omega + wedge_forms(theta, script_L(omega)))
-    second = exterior_d(wedge_forms(theta, bracket))
-    return first + second
+    return _middle_form(d_poly(omega.params, g), omega, _bracket(g, omega))
 
 
 def lefschetz_commutator(g: Poly, omega: PolyForm) -> tuple:
     """Both sides of scr_L(g w) - g scr_L(w) = L^(-1)( -(dg ^ w)|horizontal )."""
-    lhs = script_L(omega.scale(g)) - script_L(omega).scale(g)
-    rhs = L_inv(-wedge_forms(d_poly(omega.params, g), omega).strip_theta())
-    return lhs, rhs
+    return _bracket(g, omega), _closed_bracket(d_poly(omega.params, g), omega)
 
 
 def two_piece_form(g: Poly, omega: PolyForm) -> PolyForm:
     """The middle commutator with the bracket replaced by its closed form."""
-    params = omega.params
-    theta = PolyForm.theta(params)
-    dg = d_poly(params, g)
-    bracket = L_inv(-wedge_forms(dg, omega).strip_theta())
-    first = wedge_forms(dg, omega + wedge_forms(theta, script_L(omega)))
-    second = exterior_d(wedge_forms(theta, bracket))
-    return first + second
+    dg = d_poly(omega.params, g)
+    return _middle_form(dg, omega, _closed_bracket(dg, omega))

@@ -72,6 +72,7 @@ from .currents import (
     SimplicialCurrent,
     _blade_pairings,
     _Cell,
+    _check_coeffs,
     _faces,
     _from_cells,
     _intern,
@@ -202,6 +203,7 @@ class _Values:
     __slots__ = ("points", "dot", "cells", "dots", "ranges")
 
     def __init__(self, T: SimplicialCurrent, f: AffineFunction):
+        _check_coeffs(T, f.coeffs)
         self.points, self.cells = _intern(T.simplices)
         self.dot = [sum(a * b for a, b in zip(f.coeffs, v)) for v in self.points]
         self.dots = [tuple(self.dot[i] for i in cell.vertices) for cell in self.cells]
@@ -601,12 +603,14 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                     properties=None) -> PropertyReport:
     """Check the seven slicing properties on a chain; one entry per key P0..P6.
 
-    ``t_samples`` are the generic levels used for P1, P2, P3; ``sweep``
+    ``t_samples`` are the generic levels used for P1, P2, P3, and P4 and
+    P6 read the middle one, so they need at least one level; ``sweep``
     is an (a, b, grid) triple for P5 (defaults to the span of f over the
     vertices).  P4/P5 are skipped with a scope note when the slice
     dimension equals n, and raise :class:`MiddleDimensionError` when
     explicitly requested via ``properties``.
     """
+    _check_coeffs(T, f.coeffs)
     t_samples = [exact(t, "level") for t in t_samples]
     h_values = [exact(h, "band width") for h in h_values]
     if sweep is not None:
@@ -627,6 +631,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     if not middle and (requested(4) or requested(5)):
         # P4 and P5 need the closed-form constant: refuse before slicing
         f.lipschitz_constant()
+    if not t_samples and (requested(6) or (requested(4) and not middle)):
+        raise ParameterError("properties (4) and (6) need at least one level in t_samples")
 
     entries = []
 

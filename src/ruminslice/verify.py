@@ -1,17 +1,20 @@
 """Randomized exact verification batteries for the complex and its lemmas.
 
 Each battery runs seeded random cases and returns a :class:`Battery`
-with one counter per named check.  All identities are required to hold
-exactly over the rationals; a single failure marks the battery failed.
-The CLI prints the counters verbatim, so equal seeds give byte-identical
-reports.
+with one counter per named check.  Each check is one case function, run
+``count`` times through one tally loop (:func:`_tally`); a case draws
+its inputs from the battery's one generator, so a check's draw order is
+its case function's, and the checks draw in the order they are tallied.
+All identities are required to hold exactly over the rationals; a single
+failure marks the battery failed.  The CLI prints the counters verbatim,
+so equal seeds give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import linalg
 from .forms import PolyForm, exterior_d, random_form, random_poly, wedge_forms
@@ -105,48 +108,45 @@ def random_class(rng, params: HeisParams, degree: int) -> RuminClass:
 # -- batteries -------------------------------------------------------------
 
 
+def _tally(battery: Battery, name: str, count: int, case) -> None:
+    """Record how many of ``count`` calls of ``case()`` return True."""
+    battery.record(name, sum(1 for _ in range(count) if case()), count)
+
+
 def complex_battery(n: int, seed: int, count: int) -> Battery:
     """d_c o d_c = 0 at every degree, plus quotient well-definedness."""
     params = HeisParams(n)
     rng = random.Random(seed)
     battery = Battery(f"Rumin complex over H^{n} (seed {seed}, {count} cases per check)")
     top = 2 * n + 1
+
+    def squares_to_zero(degree):
+        return d_c(d_c(random_class(rng, params, degree))).payload.is_zero()
+
+    def draw_shifted(degree):
+        return random_form(rng, params, degree), random_I_form(rng, params, degree)
+
+    def quotient_well_defined(degree):
+        omega, shift = draw_shifted(degree)
+        lhs = canonical_rep(exterior_d(omega + shift))
+        return lhs == canonical_rep(exterior_d(omega)) and canonical_rep(shift).is_zero()
+
+    def middle_class_independent():
+        omega, shift = draw_shifted(n)
+        return d_c(rumin_class(params, n, omega + shift)) == d_c(rumin_class(params, n, omega))
+
+    def preserves_J(degree):
+        return is_in_J(exterior_d(random_J_form(rng, params, degree)))
+
     for degree in range(0, top + 1):
-        passed = 0
-        for _ in range(count):
-            c = random_class(rng, params, degree)
-            if d_c(d_c(c)).payload.is_zero():
-                passed += 1
-        battery.record(f"dc o dc = 0 at degree {degree}", passed, count)
-
+        _tally(battery, f"dc o dc = 0 at degree {degree}", count,
+               partial(squares_to_zero, degree))
     for degree in range(0, n):
-        passed = 0
-        for _ in range(count):
-            omega = random_form(rng, params, degree)
-            shift = random_I_form(rng, params, degree)
-            lhs = canonical_rep(exterior_d(omega + shift))
-            rhs = canonical_rep(exterior_d(omega))
-            ideal_killed = canonical_rep(shift).is_zero()
-            if lhs == rhs and ideal_killed:
-                passed += 1
-        battery.record(f"quotient well-defined at degree {degree}", passed, count)
-
-    passed = 0
-    for _ in range(count):
-        omega = random_form(rng, params, n)
-        shift = random_I_form(rng, params, n)
-        if d_c(rumin_class(params, n, omega + shift)) == d_c(rumin_class(params, n, omega)):
-            passed += 1
-    battery.record("middle operator is class-independent", passed, count)
-
+        _tally(battery, f"quotient well-defined at degree {degree}", count,
+               partial(quotient_well_defined, degree))
+    _tally(battery, "middle operator is class-independent", count, middle_class_independent)
     for degree in range(n + 1, top + 1):
-        passed = 0
-        for _ in range(count):
-            omega = random_J_form(rng, params, degree)
-            image = exterior_d(omega)
-            if is_in_J(image):
-                passed += 1
-        battery.record(f"d preserves J at degree {degree}", passed, count)
+        _tally(battery, f"d preserves J at degree {degree}", count, partial(preserves_J, degree))
     return battery
 
 
@@ -155,77 +155,45 @@ def lemma_battery(n: int, seed: int, count: int) -> Battery:
     params = HeisParams(n)
     rng = random.Random(seed)
     battery = Battery(f"Lemma batteries over H^{n} (seed {seed}, {count} cases per check)")
-
-    for degree in range(0, n):
-        passed = 0
-        for _ in range(count):
-            g = random_poly(rng, params)
-            c = random_class(rng, params, degree)
-            if leibniz_defect(g, c) == leibniz_expected(g, c):
-                passed += 1
-        battery.record(f"commutation closed form, degree {degree} < n", passed, count)
-
-    passed = 0
-    for _ in range(count):
-        g = random_poly(rng, params)
-        c = random_class(rng, params, n)
-        if leibniz_defect(g, c) == leibniz_expected(g, c):
-            passed += 1
-    battery.record("commutation closed form, middle degree", passed, count)
-
-    for degree in range(n + 1, 2 * n + 1):
-        passed = 0
-        for _ in range(count):
-            g = random_poly(rng, params)
-            c = random_class(rng, params, degree)
-            if leibniz_defect(g, c) == leibniz_expected(g, c):
-                passed += 1
-        battery.record(f"commutation closed form, degree {degree} > n", passed, count)
-
-    passed = 0
-    for _ in range(count):
-        g = random_poly(rng, params)
-        omega = random_form(rng, params, n).strip_theta()
-        lhs, rhs = lefschetz_commutator(g, omega)
-        if lhs == rhs:
-            passed += 1
-    battery.record("Lefschetz commutator closed form (theta-free)", passed, count)
-
-    passed = 0
     theta = PolyForm.theta(params)
-    for _ in range(count):
-        g = random_poly(rng, params)
-        beta = random_form(rng, params, n - 1)
-        omega = wedge_forms(theta, beta)
-        lhs, rhs = lefschetz_commutator(g, omega)
-        if lhs == rhs and lhs.is_zero():
-            passed += 1
-    battery.record("Lefschetz commutator vanishes on theta ^ beta", passed, count)
 
-    passed = 0
-    for _ in range(count):
-        g = random_poly(rng, params)
-        omega = random_form(rng, params, n).strip_theta()
-        if is_in_J(middle_commutator_form(g, omega)):
-            passed += 1
-    battery.record("middle commutator lands in J (theta-free branch)", passed, count)
+    def draw_class(degree):
+        return random_poly(rng, params), random_class(rng, params, degree)
 
-    passed = 0
-    for _ in range(count):
+    def draw_middle(theta_free):
+        """g and a grade-n form: theta-free, or theta ^ beta."""
         g = random_poly(rng, params)
-        beta = random_form(rng, params, n - 1)
-        omega = wedge_forms(theta, beta)
-        if is_in_J(middle_commutator_form(g, omega)):
-            passed += 1
-    battery.record("middle commutator lands in J (theta ^ beta branch)", passed, count)
+        if theta_free:
+            return g, random_form(rng, params, n).strip_theta()
+        return g, wedge_forms(theta, random_form(rng, params, n - 1))
 
-    passed = 0
-    for _ in range(count):
-        g = random_poly(rng, params)
-        c = random_class(rng, params, n)
-        if leibniz_defect(g, c) == two_piece_form(g, c.payload):
-            passed += 1
-    battery.record("two-piece middle form matches the defect", passed, count)
+    def commutation(degree):
+        g, c = draw_class(degree)
+        return leibniz_defect(g, c) == leibniz_expected(g, c)
+
+    def lefschetz(theta_free):
+        lhs, rhs = lefschetz_commutator(*draw_middle(theta_free))
+        return lhs == rhs and (theta_free or lhs.is_zero())
+
+    def lands_in_J(theta_free):
+        return is_in_J(middle_commutator_form(*draw_middle(theta_free)))
+
+    def two_piece():
+        g, c = draw_class(n)
+        return leibniz_defect(g, c) == two_piece_form(g, c.payload)
+
+    for degree in range(0, 2 * n + 1):
+        regime = ("middle degree" if degree == n
+                  else f"degree {degree} {'<' if degree < n else '>'} n")
+        _tally(battery, f"commutation closed form, {regime}", count,
+               partial(commutation, degree))
+    for theta_free, claim in ((True, "closed form (theta-free)"),
+                              (False, "vanishes on theta ^ beta")):
+        _tally(battery, f"Lefschetz commutator {claim}", count, partial(lefschetz, theta_free))
+    for theta_free, branch in ((True, "theta-free"), (False, "theta ^ beta")):
+        _tally(battery, f"middle commutator lands in J ({branch} branch)", count,
+               partial(lands_in_J, theta_free))
+    _tally(battery, "two-piece middle form matches the defect", count, two_piece)
     return battery
 
 

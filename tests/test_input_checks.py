@@ -1,0 +1,84 @@
+"""Inputs that used to give wrong numbers or a stray error are refused.
+
+A function or half-space whose coefficient count is not the chain's
+group dimension used to be truncated by ``zip``; a ramp weight of band
+width h <= 0 used to construct; a property report with no level used to
+fail with an ``IndexError`` in P4.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from ruminslice import (
+    DimensionMismatchError,
+    GammaWeight,
+    ParameterError,
+    measure_of,
+    restrict_by_fn,
+    restrict_to_set,
+    slice_minus,
+    slice_plus,
+)
+from ruminslice.clipping import HalfSpace
+from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
+from ruminslice.slicing import (
+    AffineFunction,
+    band_measure,
+    coarea_sweep,
+    measure_between,
+    property_report,
+)
+
+F = Fraction
+H1_X = AffineFunction((1, 0, 0))  # x1 over H^1, three coefficients
+
+
+class TestWrongDimension:
+    @pytest.mark.parametrize("call", [
+        lambda T: slice_plus(T, H1_X, F(1, 3)),
+        lambda T: slice_minus(T, H1_X, F(1, 3)),
+        lambda T: coarea_sweep(T, H1_X, 0, 1, 4),
+        lambda T: measure_between(T, H1_X, 0, F(1, 2)),
+        lambda T: band_measure(T, H1_X, 0, F(1, 2)),
+        lambda T: property_report(T, H1_X, [F(1, 3)]),
+        lambda T: property_report(T, H1_X, [F(1, 3)], properties={0}),
+        lambda T: restrict_by_fn(T, GammaWeight((1, 0, 0), 0, 0, F(1, 2))),
+    ], ids=["slice_plus", "slice_minus", "coarea_sweep", "measure_between", "band_measure",
+            "property_report", "property_report_P0", "restrict_by_fn"])
+    def test_h1_function_on_an_h2_chain(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call(horizontal_square_chain())
+
+    def test_short_half_space(self):
+        cube = unit_cube_chain()
+        for region in ([HalfSpace((1,), F(1, 2))], HalfSpace((1, 0, 0, 0, 0), F(1, 2))):
+            with pytest.raises(DimensionMismatchError):
+                measure_of(cube, region)
+            with pytest.raises(DimensionMismatchError):
+                restrict_to_set(cube, region)
+
+    def test_matching_dimension_still_slices(self):
+        square = horizontal_square_chain()
+        assert slice_plus(square, AffineFunction((1, 0, 0, 0, 0)), F(1, 3)).mass == 1
+        assert measure_of(unit_cube_chain(), [HalfSpace((1, 0, 0), F(1, 2))]) == F(1, 2)
+
+
+@pytest.mark.parametrize("h", [0, -1, F(-1, 2), 0.0])
+def test_gamma_weight_refuses_nonpositive_band_width(h):
+    with pytest.raises(ParameterError, match="band width"):
+        GammaWeight((1, 0, 0), 0, F(1, 2), h)
+
+
+class TestReportWithoutLevels:
+    @pytest.mark.parametrize("properties", [None, {4}, {6}, {0, 4}])
+    def test_a_property_that_needs_a_level_is_refused(self, properties):
+        with pytest.raises(ParameterError, match="at least one level"):
+            property_report(unit_segment_chain(), H1_X, [], properties=properties)
+
+    def test_properties_without_a_level_still_run(self):
+        report = property_report(unit_segment_chain(), H1_X, [], properties={0, 1, 2, 3})
+        assert [e.key for e in report.entries] == ["P0", "P1", "P2", "P3"]
+        assert report.passed()
