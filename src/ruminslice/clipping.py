@@ -17,14 +17,9 @@ vertex ids numbered in coordinate order, with a function that names the
 cut point of an edge (see ``_split``).  Only vertices off the plane end
 a crossing edge, so ids split the same edges as coordinates do.
 
-The split also records each piece's share of the parameter volume of
-the simplex it was cut from.  The cut point (1 - lam) v_i + lam v_j
-replaces v_i in one piece and v_j in the other, and those pieces are
-the fractions 1 - lam and lam of the simplex, so shares multiply down
-the recursion.  ``_split`` is the one clipping routine: restriction,
-the ramp weight's pre-split, slices and the level-window measure all
-call it, and only the level-window measure reads the shares (see
-:mod:`ruminslice.currents`).
+``_split`` is the one clipping routine: slices call it, and so does
+``restrict_to_set``, which the ramp weight's pre-split and the clip path
+of the level-window measure go through (see :mod:`ruminslice.slicing`).
 
 Geometry is exact only.  Every finite float is a dyadic rational, so the
 public constructors (:class:`HalfSpace` here, ``Simplex``,
@@ -104,11 +99,11 @@ def _cut_point(a, b, va, vb):
     return tuple(x + lam * (y - x) for x, y in zip(a, b))
 
 
-def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cut_point):
+def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, cut=_cut_point):
     """Split one simplex along the hyperplane of ``halfspace``.
 
-    Returns (kept, dropped): lists of (piece, values, share) triples for
-    the pieces in the closed half-space and in its closed complement.
+    Returns (kept, dropped): lists of (piece, values) pairs for the
+    pieces in the closed half-space and in its closed complement.
     Pieces entirely inside the hyperplane are kept iff the half-space is
     closed.
 
@@ -122,24 +117,20 @@ def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cu
     splits the same edges in the same order.
 
     ``values`` are the simplex's :meth:`HalfSpace.value` and are carried
-    to each piece.  ``share`` is the simplex's share of the parameter
-    volume of the simplex it was cut from.  The cut point (1 - lam) v_i
-    + lam v_j replaces v_i in one piece and v_j in the other; the piece
-    without v_i is the fraction 1 - lam of the simplex (the cut's
-    barycentric weight of v_i), the other the fraction lam.
+    to each piece.
     """
     want_positive = halfspace.keeps_positive()
     kept, dropped = [], []
-    stack = [(simplex, values, halfspace.sides(values), share)]
+    stack = [(simplex, values, halfspace.sides(values))]
     while stack:
-        simplex, values, signs, share = stack.pop()
+        simplex, values, signs = stack.pop()
         has_pos = 1 in signs
         has_neg = -1 in signs
         if not (has_pos and has_neg):
             on_plane = not has_pos and not has_neg
             inside = has_pos if want_positive else has_neg
             keep = inside or (on_plane and halfspace.keeps_boundary())
-            (kept if keep else dropped).append((simplex, values, share))
+            (kept if keep else dropped).append((simplex, values))
             continue
         crossing = [
             (i, j)
@@ -149,15 +140,13 @@ def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, share=1, cut=_cu
         ]
         i, j = min(crossing, key=lambda e: _edge_key(simplex[e[0]], simplex[e[1]]))
         point = cut(simplex[i], simplex[j], values[i], values[j])
-        lam = values[i] / (values[i] - values[j])
         # the cut lies on the plane: value 0 and side 0, never recomputed
-        for index, part in ((i, 1 - lam), (j, lam)):
+        for index in (i, j):
             piece = list(simplex)
             piece[index] = point
             piece_values = list(values)
             piece_values[index] = 0
             piece_signs = list(signs)
             piece_signs[index] = 0
-            stack.append((tuple(piece), tuple(piece_values), tuple(piece_signs),
-                          share * part))
+            stack.append((tuple(piece), tuple(piece_values), tuple(piece_signs)))
     return kept, dropped

@@ -30,16 +30,8 @@ the constant blade pairings).  A batch of forms is paired through a
 per-simplex moment table (see :func:`pair_forms_batch`), one pass over
 the nodes for the whole batch.
 
-:func:`measure_of` is ``mass(restrict_to_set(T, planes))``.  Only the
-level-window measure of :mod:`ruminslice.slicing` reads the shares the
-clip records (a cut at lam on an edge splits a share as lam : 1 - lam;
-see :mod:`ruminslice.clipping`).  A piece's E is its share times the
-simplex's, so when the simplex's tangent is constant with a rational
-norm, a piece's mass is the whole mass times its share (see
-:func:`_whole`): the Fraction its own minors would give.  Any other
-piece is measured from its own E, so both measures add the same terms
-in the same order, float sums included.  A cut point lies strictly
-inside its edge, so no clip piece is degenerate.
+:func:`measure_of` is ``mass(restrict_to_set(T, planes))``.  A cut point
+lies strictly inside its edge, so no clip piece is degenerate.
 
 Chains merge on integer vertex ids (see :func:`_merge`): ``canonical()``
 and :func:`boundary` intern their vertices, hashing each once and
@@ -563,24 +555,20 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
 # -- clipping ---------------------------------------------------------------
 
 
-def _whole(T: SimplicialCurrent, index: int, whole: dict, need_mass: bool) -> tuple:
+def _whole(T: SimplicialCurrent, index: int, whole: dict) -> tuple:
     """(whole mass, scales) of simplex ``index``, cached in ``whole``.
 
     ``scales`` is true when the tangent is constant and its norm
-    rational: a clip piece's tangent is then the simplex's times the
-    piece's share, so its mass is the whole mass times the share, the
-    same Fraction its own minors give.  The mass of a simplex with a
-    varying tangent is left None until ``need_mass``.
+    rational: a part's mass is then the whole mass times the part's
+    share of the parameter volume, the Fraction its own minors give.
     """
     entry = whole.get(index)
-    if entry is None or (need_mass and entry[0] is None):
+    if entry is None:
         s = T.simplices[index]
         vertex_tangents = _vertex_tangents(T.params, s)
-        constant = _constant_tangent(vertex_tangents) is not None
-        value = None
-        if constant or need_mass:
-            value = _mass_from_tangents(s, vertex_tangents, T.quadrature_degree)
-        entry = whole[index] = (value, constant and isinstance(value, Fraction))
+        value = _mass_from_tangents(s, vertex_tangents, T.quadrature_degree)
+        scales = _constant_tangent(vertex_tangents) is not None and isinstance(value, Fraction)
+        entry = whole[index] = (value, scales)
     return entry
 
 
@@ -607,7 +595,7 @@ def restrict_to_set(T: SimplicialCurrent, halfspaces) -> SimplicialCurrent:
         pieces = [s.vertices]
         for hs in halfspaces:
             pieces = [kept for piece in pieces
-                      for kept, _, _ in _split(piece, hs, tuple(hs.value(v) for v in piece))[0]]
+                      for kept, _ in _split(piece, hs, tuple(hs.value(v) for v in piece))[0]]
         clipped.extend(Simplex._trusted(piece, s.multiplicity) for piece in pieces)
     return T.with_simplices(clipped)
 
@@ -694,17 +682,11 @@ class WeightedCurrent:
     def __init__(self, chain: SimplicialCurrent, weight):
         if isinstance(weight, GammaWeight):
             _check_coeffs(chain, weight.fcoeffs)
-            planes = weight.level_halfspaces()
-            pieces = []
-            for s in chain.simplices:
-                below, rest = [], [s.vertices]
-                for hs in planes:
-                    split = [_split(piece, hs, tuple(hs.value(v) for v in piece))
-                             for piece in rest]
-                    below.extend(p for _, dropped in split for p, _, _ in dropped)
-                    rest = [p for kept, _ in split for p, _, _ in kept]
-                pieces.extend(Simplex._trusted(p, s.multiplicity) for p in below + rest)
-            chain = chain.with_simplices(pieces)
+            low, high = weight.level_halfspaces()
+            bands = ([low.complement()], [low, high.complement()], [low, high])
+            chain = chain.with_simplices(
+                piece for s in chain.simplices for band in bands
+                for piece in restrict_to_set(chain.with_simplices([s]), band).simplices)
         self.chain = chain
         self.weight = weight
 

@@ -27,10 +27,9 @@ vertex i gives its face opposite i, with the formula's multiplicity
 one merge folds the faces.  A slice costs in the simplices it cuts, not
 in the size of T.  f is evaluated once per vertex of T, and each
 simplex's range of f is kept with it.  A coarea sweep shares both
-across all its levels and cells: a cell skips the simplices it misses,
-takes whole the ones inside it, clips the others only by the planes
-that cut them, and the whole mass of each simplex is computed at most
-once per sweep.
+across all its levels and cells.  A level-window measure takes a simplex
+S it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
+with parameter volume (see :func:`_level_share`), and clips the others.
 
 A slice clips, merges and cancels on integer vertex ids, not on
 coordinate tuples.  The chain's vertices, sorted once, are numbered in
@@ -62,13 +61,13 @@ from n; requests at k = n raise :class:`MiddleDimensionError`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .clipping import HalfSpace, _cut_point, _split, exact
 from .currents import (
-    Simplex,
     SimplicialCurrent,
     _blade_pairings,
     _Cell,
@@ -82,10 +81,12 @@ from .currents import (
     _whole,
     boundary,
     mass,
+    restrict_to_set,
     sqrt_exact_or_float,
 )
 from .errors import (
     DegenerateLevelError,
+    DimensionMismatchError,
     InternalInvariantError,
     MiddleDimensionError,
     ParameterError,
@@ -112,6 +113,9 @@ class AffineFunction:
 
     def __call__(self, p):
         coords = p.coords() if isinstance(p, Point) else tuple(p)
+        if len(coords) != len(self.coeffs):
+            raise DimensionMismatchError(
+                f"a point of {len(coords)} coordinates for a function of {len(self.coeffs)}")
         return sum(a * b for a, b in zip(self.coeffs, coords)) + self.const
 
     def is_horizontal_affine(self) -> bool:
@@ -297,7 +301,7 @@ def _sections(crossing, plus: bool) -> list:
 
     ``crossing`` holds, for each simplex the level crosses, its vertex
     ids and multiplicity as a cell, its vertices' values and its kept
-    pieces, as (piece, values, share) triples on ids.  A piece with
+    pieces, as (piece, values) pairs on ids.  A piece with
     exactly one off-level vertex i has its face opposite i on the level,
     and the formula takes that face from -d(T|{f>t}) with multiplicity
     -(-1)^i mult, or from d(T|{f<t}) with +(-1)^i mult.  The formula's
@@ -308,7 +312,7 @@ def _sections(crossing, plus: bool) -> list:
     faces = []
     for cell, _, pieces in crossing:
         mult = cell.multiplicity
-        for piece, piece_values, _ in pieces:
+        for piece, piece_values in pieces:
             off = [i for i, v in enumerate(piece_values) if v != 0]
             if len(off) == 1:
                 i = off[0]
@@ -332,9 +336,9 @@ def _formula(crossing, hs: HalfSpace, plus: bool, cuts: _CutPoints) -> list:
     restricted_boundary = []
     for face in _merge(_faces(cell for cell, _, _ in crossing)):
         kept = _split(face.vertices, hs, tuple(value[i] for i in face.vertices), cut=cuts)[0]
-        restricted_boundary.extend(_Cell(piece, face.multiplicity) for piece, _, _ in kept)
+        restricted_boundary.extend(_Cell(piece, face.multiplicity) for piece, _ in kept)
     boundary_of_restricted = _merge(_faces(
-        _Cell(piece, cell.multiplicity) for cell, _, pieces in crossing for piece, _, _ in pieces))
+        _Cell(piece, cell.multiplicity) for cell, _, pieces in crossing for piece, _ in pieces))
     if plus:
         first, second = restricted_boundary, boundary_of_restricted
     else:
@@ -382,7 +386,7 @@ def slice_minus(T: SimplicialCurrent, f: AffineFunction, t,
 
 
 def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
-    """mu_T({t < f < t + h}), by exact clipping; h > 0."""
+    """mu_T({t < f < t + h}), exactly; h > 0."""
     t, width = exact(t, "level"), exact(h, "band width")
     if not width > 0:
         raise ParameterError(f"band width must be positive, got {h}")
@@ -390,51 +394,71 @@ def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
 
 
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
-    """mu_T({lo < f < hi}), by exact clipping."""
-    return _measure_between(T, f, exact(lo, "level"), exact(hi, "level"), _Values(T, f), {})
+    """mu_T({lo < f < hi}), exactly."""
+    lo, hi = exact(lo, "level"), exact(hi, "level")
+    return _window_measures(T, f, [lo, hi], _Values(T, f), {})[0] if lo < hi else Fraction(0)
 
 
-def _measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi, values: _Values,
-                     whole: dict):
-    """mu_T({lo < f < hi}), each simplex classified by its range of f.
+def _level_share(t, knots):
+    """The share F(t) of a simplex's parameter volume where f < t.
 
-    A simplex with no vertex above lo or none below hi adds nothing (a
-    face in a plane included, as the open half-spaces drop it), one with
-    every vertex in [lo, hi] adds its whole mass, and any other is split
-    by the planes its range crosses.  A kept piece adds the whole mass
-    times its share when that scales (see :func:`_whole`), else its own
-    mass: the terms of M(restrict_to_set(T, [f > lo, f < hi])), in order.
-    ``whole`` caches the whole masses; the calls of one sweep share it.
+    F is the cumulative of the simplex spline on the sorted ``knots``
+    f_0..f_k, f at the vertices (Curry and Schoenberg 1966), by de Boor's
+    triangle F(t; f_i..f_j) = [(t - f_i) F(t; f_i..f_(j-1)) + (f_j - t)
+    F(t; f_(i+1)..f_j)] / (f_j - f_i), 0 for t <= f_i and 1 for t >= f_j
+    (so a run of equal knots is a step).  Scaling t and the knots alike
+    leaves F as it is, so the triangle runs on integer pairs (num, den).
     """
-    below, above = f.halfspace(lo, ">"), f.halfspace(hi, "<")
-    low, high = below.const, above.const
-    # a piece's value for {f < hi} is its value for {f > lo} shifted
-    shift = low - high
-    total = Fraction(0)
+    if not knots[0] < t < knots[-1]:
+        return int(t > knots[0])
+    scale = math.lcm(t.denominator, *(knot.denominator for knot in knots))
+    q = t.numerator * (scale // t.denominator)
+    points = [knot.numerator * (scale // knot.denominator) for knot in knots]
+    row = [(int(q > p), 1) for p in points]
+    for span in range(1, len(points)):
+        row = [(0, 1) if q <= low else (1, 1) if q >= high
+               else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
+               for low, high, (na, da), (nb, db) in zip(points, points[span:], row, row[1:])]
+    return Fraction(*row[0])
+
+
+def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Values,
+                     whole: dict) -> list:
+    """mu_T({e_i < f < e_(i+1)}) for each pair of consecutive ascending ``edges``.
+
+    A simplex adds its whole mass to a window it lies in.  In a window it
+    crosses, it adds M(S) (F(hi) - F(lo)) if it scales (see :func:`_whole`)
+    and the window's total is still a Fraction, else its clip pieces'
+    masses: exact sums do not depend on order, so every total is the
+    float or Fraction M(restrict_to_set(T, window)) gives.  ``whole``
+    caches the whole masses; the calls of one sweep share it.
+    """
+    levels = [e - f.const for e in edges]
+    totals = [Fraction(0)] * (len(levels) - 1)
     for index, (dots, (least, most)) in enumerate(zip(values.dots, values.ranges)):
-        if most <= low or least >= high:
+        # the windows (levels[i], levels[i + 1]) that meet (least, most)
+        first = max(bisect_right(levels, least) - 1, 0)
+        last = min(bisect_left(levels, most), len(totals))
+        if first >= last:
             continue
         s = T.simplices[index]
         weight = abs(s.multiplicity)
-        if low <= least and most <= high:
-            total = total + weight * _whole(T, index, whole, True)[0]
+        value, scales = _whole(T, index, whole)
+        if last - first == 1 and levels[first] <= least and most <= levels[last]:
+            totals[first] = totals[first] + weight * value
             continue
-        if least < low:
-            pieces = _split(s.vertices, below, tuple(d - low for d in dots))[0]
-            if most > high:
-                pieces = [kept for piece, piece_values, share in pieces
-                          for kept in _split(piece, above,
-                                             tuple(v + shift for v in piece_values), share)[0]]
-        else:
-            pieces = _split(s.vertices, above, tuple(d - high for d in dots))[0]
-        value, scales = _whole(T, index, whole, False)
-        for piece, _, share in pieces:
-            if scales:
-                total = total + weight * (value * share)
-            else:
-                total = total + weight * _simplex_mass(
-                    T.params, Simplex._trusted(piece, s.multiplicity), T.quadrature_degree)
-    return total
+        if scales:
+            knots = sorted(dots)
+            shares = [_level_share(level, knots) for level in levels[first:last + 1]]
+        for i in range(first, last):
+            if scales and isinstance(totals[i], Fraction):
+                share = shares[i + 1 - first] - shares[i - first]
+                totals[i] = totals[i] + weight * (value * share)
+                continue
+            planes = [f.halfspace(edges[i], ">"), f.halfspace(edges[i + 1], "<")]
+            for piece in restrict_to_set(T.with_simplices([s]), planes).simplices:
+                totals[i] = totals[i] + weight * _simplex_mass(T.params, piece, T.quadrature_degree)
+    return totals
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
@@ -462,9 +486,13 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
 
 def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice) -> list:
     """The rows of :func:`band_trend` for a slice of mass ``m_slice`` at t."""
+    values, whole = _Values(T, f), {}
     rows = []
     for h in h_values:
-        bound = band_bound(T, f, t, h)
+        lip = f.lipschitz_constant()
+        if not h > 0:
+            raise ParameterError(f"band width must be positive, got {h}")
+        bound = lip * _window_measures(T, f, [t, t + h], values, whole)[0] / h
         excess = max(0.0, float(m_slice) - float(bound))
         rows.append((h, m_slice, bound, excess))
     return rows
@@ -512,27 +540,26 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     lip = f.lipschitz_constant()
     # f at the vertices, shared by every slice and cell of this sweep, and
     # the whole masses of the simplices, shared by its cells
-    values = _Values(T, f)
-    whole = {}
+    values, whole = _Values(T, f), {}
+    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)], values, whole)
     rows = []
-    masses = []
-    for i in range(grid):
+    for i, cell in enumerate(cells):
         t = a + width * Fraction(2 * i + 1, 2)
         m_slice = _slice(T, f, t, "+", certify=False, values=values).mass
-        lo = t - width / 2
-        cell = _measure_between(T, f, lo, lo + width, values, whole)
         bound = lip * cell / width
         ratio = float(m_slice) / float(bound) if float(bound) != 0 else (
             0.0 if float(m_slice) == 0 else math.inf
         )
         rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=ratio))
-        masses.append(m_slice)
+    masses = [row.mass for row in rows]
     # trapezoid over the grid points plus the two end slabs
     integral = 0
     for left, right in zip(masses, masses[1:]):
         integral = integral + (left + right) * width / 2
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
-    denominator = lip * _measure_between(T, f, a, b, values, whole)
+    # its own window, not the sum of the cells: an atom on a cell edge
+    # counts in (a, b) and in no cell
+    denominator = lip * _window_measures(T, f, [a, b], values, whole)[0]
     ratio = float(integral) / float(denominator) if float(denominator) != 0 else (
         0.0 if float(integral) == 0 else math.inf
     )

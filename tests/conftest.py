@@ -101,7 +101,7 @@ def coordinate_slice(T, f, t, side):
             crossing.append((s, _split(s.vertices, hs, values)[0]))
     faces = []
     for s, pieces in crossing:
-        for piece, values, _ in pieces:
+        for piece, values in pieces:
             off = [i for i, v in enumerate(values) if v != 0]
             if len(off) == 1:
                 i = off[0]
@@ -113,7 +113,7 @@ def coordinate_slice(T, f, t, side):
     cut = T.with_simplices([s for s, _ in crossing])
     restricted_boundary = restrict_to_set(coordinate_boundary(cut), [hs])
     boundary_of_restricted = coordinate_boundary(cut.with_simplices(
-        Simplex._trusted(piece, s.multiplicity) for s, pieces in crossing for piece, _, _ in pieces))
+        Simplex._trusted(piece, s.multiplicity) for s, pieces in crossing for piece, _ in pieces))
     if plus:
         return chain, restricted_boundary - boundary_of_restricted
     return chain, boundary_of_restricted - restricted_boundary

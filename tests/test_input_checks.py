@@ -1,7 +1,8 @@
 """Inputs that used to give wrong numbers or a stray error are refused.
 
 A function or half-space whose coefficient count is not the chain's
-group dimension used to be truncated by ``zip``; a ramp weight of band
+group dimension used to be truncated by ``zip``, and so did a function
+evaluated at a point of another group; a ramp weight of band
 width h <= 0 used to construct; a property report with no level used to
 fail with an ``IndexError`` in P4.
 """
@@ -16,6 +17,7 @@ from ruminslice import (
     DimensionMismatchError,
     GammaWeight,
     ParameterError,
+    Point,
     measure_of,
     restrict_by_fn,
     restrict_to_set,
@@ -28,6 +30,7 @@ from ruminslice.slicing import (
     AffineFunction,
     band_measure,
     coarea_sweep,
+    lipschitz_estimate,
     measure_between,
     property_report,
 )
@@ -59,6 +62,18 @@ class TestWrongDimension:
                 measure_of(cube, region)
             with pytest.raises(DimensionMismatchError):
                 restrict_to_set(cube, region)
+
+    @pytest.mark.parametrize("point", [
+        (1, 0, 1, 0, 0), (1, 0), Point.from_coords((1, 0, 1, 0, 0)),
+    ], ids=["h2_coords", "short_coords", "h2_point"])
+    def test_a_point_of_another_group(self, point):
+        with pytest.raises(DimensionMismatchError):
+            H1_X(point)
+
+    def test_lipschitz_estimate_on_points_of_another_group(self):
+        pairs = [(Point.origin(2), Point.from_coords((1, 0, 0, 0, 0)))]
+        with pytest.raises(DimensionMismatchError):
+            lipschitz_estimate(H1_X, pairs)
 
     def test_matching_dimension_still_slices(self):
         square = horizontal_square_chain()

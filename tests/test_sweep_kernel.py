@@ -158,13 +158,12 @@ def split_pieces(vertices, hs, values):
     """``_split`` of a coordinate simplex, as (kept, dropped) vertex tuples.
 
     Checks on the way that the values carried to each piece are the ones
-    recomputed there, and that the shares of all pieces sum to 1.
+    recomputed there.
     """
     kept, dropped = _split(tuple(vertices), hs, tuple(values))
-    for piece, piece_values, _ in kept + dropped:
+    for piece, piece_values in kept + dropped:
         assert piece_values == tuple(hs.value(v) for v in piece)
-    assert sum(share for _, _, share in kept + dropped) == 1
-    return [piece for piece, _, _ in kept], [piece for piece, _, _ in dropped]
+    return [piece for piece, _ in kept], [piece for piece, _ in dropped]
 
 
 @pytest.mark.parametrize("op", [">", ">=", "<", "<="])

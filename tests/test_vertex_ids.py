@@ -122,8 +122,8 @@ def test_split_on_ids_cuts_the_same_pieces(T, coeffs, u):
             shifted = tuple(hs.value(v) for v in s.vertices)
             by_coords = _split(s.vertices, hs, shifted)
             by_ids = _split(cell.vertices, hs, shifted, cut=cuts)
-            assert [[(tuple(cuts.points[i] for i in piece), v, share)
-                     for piece, v, share in side] for side in by_ids] == list(by_coords)
+            assert [[(tuple(cuts.points[i] for i in piece), v)
+                     for piece, v in side] for side in by_ids] == list(by_coords)
 
 
 def test_vertex_ids_follow_coordinate_order():
