@@ -638,6 +638,16 @@ def restrict_by_fn(T: SimplicialCurrent, g) -> "WeightedCurrent":
     return WeightedCurrent(T, g)
 
 
+def gamma_h_eval(s, t, h):
+    """The clamped ramp (|s-t| - |s-(t+h)| + h) / (2h); h > 0.
+
+    Equals 0 for s <= t, (s-t)/h on (t, t+h), and 1 for s >= t+h.
+    """
+    if not h > 0:
+        raise ParameterError(f"band width must be positive, got {h}")
+    return (abs(s - t) - abs(s - (t + h)) + h) / (2 * h)
+
+
 @dataclass(frozen=True)
 class GammaWeight:
     """The clamped ramp gamma_h composed with an affine function.
@@ -666,12 +676,12 @@ class GammaWeight:
         return low, high
 
     def __call__(self, point: Point):
-        value = sum(a * b for a, b in zip(self.fcoeffs, point.coords())) + self.fconst
-        if value <= self.t:
-            return 0 * value
-        if value >= self.t + self.h:
-            return 1 + 0 * value
-        return (value - self.t) / self.h
+        coords = point.coords()
+        if len(coords) != len(self.fcoeffs):
+            raise DimensionMismatchError(
+                f"a point of {len(coords)} coordinates for a function of {len(self.fcoeffs)}")
+        value = sum(a * b for a, b in zip(self.fcoeffs, coords)) + self.fconst
+        return gamma_h_eval(value, self.t, self.h)
 
 
 class WeightedCurrent:

@@ -25,11 +25,16 @@ pieces of the crossing simplices: a piece with exactly one off-level
 vertex i gives its face opposite i, with the formula's multiplicity
 -(-1)^i mult on the plus side and +(-1)^i mult on the minus side, and
 one merge folds the faces.  A slice costs in the simplices it cuts, not
-in the size of T.  f is evaluated once per vertex of T, and each
-simplex's range of f is kept with it.  A coarea sweep shares both
-across all its levels and cells.  A level-window measure takes a simplex
-S it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
-with parameter volume (see :func:`_level_share`), and clips the others.
+in the size of T.
+
+f meets the vertices of T in one table, :class:`_Values`: once per
+vertex, with each simplex's range of f kept with it.  A coarea sweep
+shares the table across all its levels and cells, and the property
+report shares one table for T and one for dT across all its slices; its
+atom levels (P0) and default sweep span (P5) are read off the table.
+A level-window measure takes a simplex S it cuts as M(S) (F(hi) - F(lo))
+in closed form where S's mass scales with parameter volume (see
+:func:`_level_share`), and clips the others.
 
 A slice clips, merges and cancels on integer vertex ids, not on
 coordinate tuples.  The chain's vertices, sorted once, are numbered in
@@ -40,6 +45,11 @@ its coordinates, so equal ids mean equal points even where two edges
 meet the level at one point.  The cut points are ranked by one sort of
 their coordinates, and coordinates are assembled once, for the merged
 chain that survives.
+
+Every slice, certified or not, checks the two tables it holds: every
+vertex of a section is a cut point, not a vertex of T, and every cut
+point is on the level (its half-space value is 0), once per point.
+Either failure raises :class:`InternalInvariantError`.
 
 A certified slice also builds the formula, from the same clip pieces
 and on the same ids, as the witness of the cancellation.  It checks
@@ -80,6 +90,7 @@ from .currents import (
     _simplex_mass,
     _whole,
     boundary,
+    gamma_h_eval,  # re-exported: the ramp lives with GammaWeight
     mass,
     restrict_to_set,
     sqrt_exact_or_float,
@@ -134,16 +145,6 @@ class AffineFunction:
 
     def halfspace(self, t, op: str) -> HalfSpace:
         return HalfSpace(self.coeffs, t - self.const, op)
-
-
-def gamma_h_eval(s, t, h):
-    """The clamped ramp (|s-t| - |s-(t+h)| + h) / (2h); h > 0.
-
-    Equals 0 for s <= t, (s-t)/h on (t, t+h), and 1 for s >= t+h.
-    """
-    if not h > 0:
-        raise ParameterError(f"band width must be positive, got {h}")
-    return (abs(s - t) - abs(s - (t + h)) + h) / (2 * h)
 
 
 def lipschitz_estimate(f, point_pairs):
@@ -271,14 +272,18 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
             shifted = tuple(d - level for d in dots)
             crossing.append((cell, shifted, _split(cell.vertices, hs, shifted, cut=cuts)[0]))
     sections = _merge(_sections(crossing, plus))
-    # every vertex of a section is a cut point: rank the cut points alone
+    # every vertex of a section is a cut point, and every cut point is on
+    # the level: rank the cut points alone
     first = cuts.first
+    if any(i < first for cell in sections for i in cell.vertices):
+        raise InternalInvariantError("a section has a vertex of T, not a cut point")
+    if any(hs.value(p) != 0 for p in cuts.points[first:]):
+        raise InternalInvariantError("a cut point is off the level")
     points, rank = _ranked(cuts.points[first:])
     ranked = _merge(_Cell(tuple(rank[i - first] for i in cell.vertices), cell.multiplicity)
                     for cell in sections)
     chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
                               T.quadrature_degree)
-    _check_on_level(chain, f, t)
     residual = 0.0
     if certify:
         formal = _formula(crossing, hs, plus, cuts)
@@ -362,15 +367,6 @@ def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
         return float(gap) or (math.ulp(0.0) if gap else 0.0)
     except OverflowError:
         return math.inf
-
-
-def _check_on_level(chain: SimplicialCurrent, f: AffineFunction, t):
-    for s in chain.simplices:
-        for v in s.vertices:
-            if f(v) != t:
-                raise InternalInvariantError(
-                    f"off-level face survived cancellation at {v}"
-                )
 
 
 def slice_plus(T: SimplicialCurrent, f: AffineFunction, t,
@@ -481,15 +477,16 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
         )
     t = exact(t, "level")
     h_values = [exact(h, "band width") for h in h_values]
-    return _band_rows(T, f, t, h_values, slice_plus(T, f, t).mass)
+    values = _Values(T, f)
+    return _band_rows(T, f, t, h_values, _slice(T, f, t, "+", values=values).mass, values)
 
 
-def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice) -> list:
+def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice,
+               values: _Values) -> list:
     """The rows of :func:`band_trend` for a slice of mass ``m_slice`` at t."""
-    values, whole = _Values(T, f), {}
+    lip, whole = f.lipschitz_constant(), {}
     rows = []
     for h in h_values:
-        lip = f.lipschitz_constant()
         if not h > 0:
             raise ParameterError(f"band width must be positive, got {h}")
         bound = lip * _window_measures(T, f, [t, t + h], values, whole)[0] / h
@@ -547,10 +544,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         t = a + width * Fraction(2 * i + 1, 2)
         m_slice = _slice(T, f, t, "+", certify=False, values=values).mass
         bound = lip * cell / width
-        ratio = float(m_slice) / float(bound) if float(bound) != 0 else (
-            0.0 if float(m_slice) == 0 else math.inf
-        )
-        rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=ratio))
+        rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=_ratio(m_slice, bound)))
     masses = [row.mass for row in rows]
     # trapezoid over the grid points plus the two end slabs
     integral = 0
@@ -560,11 +554,15 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     # its own window, not the sum of the cells: an atom on a cell edge
     # counts in (a, b) and in no cell
     denominator = lip * _window_measures(T, f, [a, b], values, whole)[0]
-    ratio = float(integral) / float(denominator) if float(denominator) != 0 else (
-        0.0 if float(integral) == 0 else math.inf
-    )
     return CoareaResult(rows=tuple(rows), integral=integral, lip=lip,
-                        band_measure=denominator, ratio=ratio)
+                        band_measure=denominator, ratio=_ratio(integral, denominator))
+
+
+def _ratio(num, den) -> float:
+    """num / den as floats: 0.0 for 0/0, inf for a nonzero num over 0."""
+    if float(den) != 0:
+        return float(num) / float(den)
+    return 0.0 if float(num) == 0 else math.inf
 
 
 # -- the seven-property report ------------------------------------------------
@@ -586,20 +584,6 @@ class PropertyReport:
 
     def lines(self):
         return [f"{e.key} {e.status} {e.detail}" for e in self.entries]
-
-
-def _atom_levels(T: SimplicialCurrent, f: AffineFunction):
-    """Levels where f is constant on a simplex of T or of dT."""
-    atoms = set()
-    chains = [T]
-    if T.degree >= 1:
-        chains.append(boundary(T))
-    for chain in chains:
-        for s in chain.simplices:
-            values = {f(v) for v in s.vertices}
-            if len(values) == 1:
-                atoms.add(next(iter(values)))
-    return sorted(atoms)
 
 
 def _point_in_chain(T: SimplicialCurrent, coords) -> bool:
@@ -637,7 +621,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     dimension equals n, and raise :class:`MiddleDimensionError` when
     explicitly requested via ``properties``.
     """
-    _check_coeffs(T, f.coeffs)
+    values = _Values(T, f)
     t_samples = [exact(t, "level") for t in t_samples]
     h_values = [exact(h, "band width") for h in h_values]
     if sweep is not None:
@@ -664,7 +648,10 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     entries = []
 
     if requested(0):
-        atoms = _atom_levels(T, f)
+        # f is constant on a cell of T or of dT: dT's cells on T's ids
+        faces = _merge(_faces(values.cells)) if T.degree >= 1 else []
+        dots = values.dots + [[values.dot[i] for i in face.vertices] for face in faces]
+        atoms = sorted({d[0] + f.const for d in dots if len(set(d)) == 1})
         shown = "{" + ", ".join(str(a) for a in atoms) + "}"
         entries.append(PropertyEntry(
             "P0", "PASS",
@@ -673,11 +660,11 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     plus_results = {}
     if requested(1) or requested(2) or requested(3) or requested(6):
         for t in t_samples:
-            plus_results[t] = slice_plus(T, f, t)
+            plus_results[t] = _slice(T, f, t, "+", values=values)
 
     if requested(1):
         bad = [t for t in t_samples
-               if plus_results[t].chain != slice_minus(T, f, t).chain]
+               if plus_results[t].chain != _slice(T, f, t, "-", values=values).chain]
         entries.append(PropertyEntry(
             "P1", "FAIL" if bad else "PASS",
             f"plus/minus slices equal at {len(t_samples) - len(bad)}/{len(t_samples)} generic levels"
@@ -686,10 +673,9 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     if requested(2):
         bad = []
         for t, result in plus_results.items():
-            for s in result.chain.simplices:
-                for v in s.vertices:
-                    if f(v) != t or not _point_in_chain(T, v):
-                        bad.append((t, v))
+            for v in dict.fromkeys(v for s in result.chain.simplices for v in s.vertices):
+                if f(v) != t or not _point_in_chain(T, v):
+                    bad.append((t, v))
         entries.append(PropertyEntry(
             "P2", "FAIL" if bad else "PASS",
             "slice support inside f^-1(t) and spt T at every vertex"
@@ -701,10 +687,11 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "P3", "SKIP", "slice is a 0-chain; boundary undefined"))
         else:
             bdry = boundary(T)
+            bdry_values = _Values(bdry, f)
             bad = []
             for t, result in plus_results.items():
                 left = boundary(result.chain).canonical()
-                right = (-slice_plus(bdry, f, t).chain).canonical()
+                right = (-_slice(bdry, f, t, "+", values=bdry_values).chain).canonical()
                 if left != right:
                     bad.append(t)
             entries.append(PropertyEntry(
@@ -719,8 +706,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: mass bound outside scope (open middle-dimension case)"))
         else:
             t = t_samples[len(t_samples) // 2]
-            result = plus_results.get(t) or slice_plus(T, f, t)
-            rows = _band_rows(T, f, t, h_values, result.mass)
+            result = plus_results.get(t) or _slice(T, f, t, "+", values=values)
+            rows = _band_rows(T, f, t, h_values, result.mass, values)
             worst = max(row[3] for row in rows)
             final_excess = rows[-1][3]
             status = "PASS" if final_excess <= 1e-3 else "FAIL"
@@ -736,8 +723,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: coarea sweep outside scope (open middle-dimension case)"))
         else:
             if sweep is None:
-                values = sorted(f(v) for v in T.vertices())
-                sweep = (values[0], values[-1], 50)
+                sweep = (min(values.dot) + f.const, max(values.dot) + f.const, 50)
             a, b, grid = sweep
             result = coarea_sweep(T, f, a, b, grid)
             status = "PASS" if result.ratio <= 1 + ratio_tolerance else "FAIL"
@@ -747,7 +733,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
 
     if requested(6):
         t = t_samples[len(t_samples) // 2]
-        result = plus_results.get(t) or slice_plus(T, f, t)
+        result = plus_results.get(t) or _slice(T, f, t, "+", values=values)
         m_slice = float(result.mass)
         if result.chain.degree >= 1:
             m_bdry = float(mass(boundary(result.chain)))

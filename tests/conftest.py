@@ -1,4 +1,4 @@
-"""Shared test paths and oracles."""
+"""Shared test paths, fixture chains and oracles."""
 
 from __future__ import annotations
 
@@ -11,6 +11,28 @@ FIXTURES = REPO_ROOT / "fixtures"
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+def fixture(name):
+    """A shipped chain from ``fixtures/``, by file name."""
+    from ruminslice.formio import load_chain
+
+    return load_chain(FIXTURES / name)
+
+
+def unit_segment_chain():
+    """The oriented unit x-axis segment in H^1; mass 1."""
+    return fixture("segment_h1.json")
+
+
+def unit_cube_chain():
+    """The unit cube in H^1 as six positively oriented Kuhn tetrahedra."""
+    return fixture("cube_h1.json")
+
+
+def horizontal_square_chain():
+    """The unit square in the (x1, x2) plane of H^2, as two triangles."""
+    return fixture("square_h2.json")
 
 
 def constant_blade_forms(params, grade: int):
@@ -40,6 +62,22 @@ def tangent_at(params, simplex, coords):
                                 {(i,): c for i, c in enumerate(framed) if c != 0})
         result = wedge(result, grade_one)
     return result
+
+
+def atom_levels(T, f):
+    """The levels where f is constant on a simplex of T or of dT.
+
+    The oracle of the property report's P0, which reads them off the
+    vertex-value table: f is evaluated at coordinates, simplex by simplex,
+    and dT is :func:`coordinate_boundary`.
+    """
+    atoms = set()
+    for chain in [T, coordinate_boundary(T)] if T.degree >= 1 else [T]:
+        for s in chain.simplices:
+            values = {f(v) for v in s.vertices}
+            if len(values) == 1:
+                atoms |= values
+    return sorted(atoms)
 
 
 # -- the coordinate merge and slice, the oracles of the vertex-id kernel -------

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, horizontal_square_chain, unit_cube_chain
 
 from ruminslice import (
     Covector,
@@ -54,7 +54,6 @@ from ruminslice import (
 )
 from ruminslice.algebra import MultiVector, all_blades
 from ruminslice.cli import main as cli_main
-from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain
 from ruminslice.forms import random_form
 from ruminslice.formio import save_chain
 from ruminslice.quadrature import parameter_nodes, rule_for_degree

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import constant_blade_forms
+from conftest import (
+    constant_blade_forms,
+    horizontal_square_chain,
+    unit_cube_chain,
+    unit_segment_chain,
+)
 
 from ruminslice import (
     AdmissibilityError,
@@ -31,7 +36,6 @@ from ruminslice import (
     rumin_class,
     wedge_forms,
 )
-from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.forms import PolyForm, random_form
 from ruminslice.polys import Poly
 from ruminslice.verify import random_J_form

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import unit_cube_chain
+
 from ruminslice import (
     DegenerateLevelError,
     GammaWeight,
@@ -30,7 +32,6 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice.clipping import exact
-from ruminslice.fixtures import unit_cube_chain
 from ruminslice.slicing import (
     AffineFunction,
     band_bound,

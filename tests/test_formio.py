@@ -26,12 +26,11 @@ from ruminslice import (
     print_form,
     save_chain,
 )
-from ruminslice.fixtures import unit_segment_chain
 from ruminslice.formio import MAX_LITERAL_DIGITS
 from ruminslice.forms import PolyForm, random_form
 from ruminslice.polys import Poly
 
-from conftest import FIXTURES
+from conftest import FIXTURES, unit_segment_chain
 
 F = Fraction
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import horizontal_square_chain, unit_cube_chain, unit_segment_chain
+
 from ruminslice import (
     DimensionMismatchError,
     GammaWeight,
@@ -25,7 +27,6 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice.clipping import HalfSpace
-from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.slicing import (
     AffineFunction,
     band_measure,
@@ -69,6 +70,14 @@ class TestWrongDimension:
     def test_a_point_of_another_group(self, point):
         with pytest.raises(DimensionMismatchError):
             H1_X(point)
+
+    @pytest.mark.parametrize("coords", [(F(1, 4), 3, 0, 0, 0), (F(1, 4), 3, 0, 0, 0, 0, 0)],
+                             ids=["h2_point", "h3_point"])
+    def test_a_ramp_weight_at_a_point_of_another_group(self, coords):
+        # zip would read (1/4, 3, 0) of the H^2 point and give 1/2
+        weight = GammaWeight((1, 0, 0), 0, 0, F(1, 2))
+        with pytest.raises(DimensionMismatchError):
+            weight(Point.from_coords(coords))
 
     def test_lipschitz_estimate_on_points_of_another_group(self):
         pairs = [(Point.origin(2), Point.from_coords((1, 0, 0, 0, 0)))]

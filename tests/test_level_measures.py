@@ -16,8 +16,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture
 from test_sections import assert_same_number
-from test_sweep_kernel import affine, cube_mesh, fixture, oracle_between
+from test_sweep_kernel import affine, cube_mesh, oracle_between
 
 from ruminslice import HalfSpace, Simplex, boundary, mass
 from ruminslice.clipping import _split

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture
 from test_slice_certificate import exact_cases
 from test_sweep_kernel import (
     affine,
     cube_mesh,
-    fixture,
     oracle_between,
     oracle_restrict,
     oracle_slice,
@@ -154,6 +154,37 @@ def test_broken_sections_fail_the_certificate(monkeypatch, fault):
                 T, f, t, "+" if slicer is slice_plus else "-")
             with pytest.raises(InternalInvariantError, match="sections differ"):
                 slicer(T, f, t)
+
+
+def test_a_section_on_a_vertex_of_T_is_refused(monkeypatch):
+    # a vertex id of T in a section would index the cut points from the
+    # end: the uncertified slice of the cube by x1 at 1/2 would have mass 7/8
+    original = slicing._sections
+
+    def swapped(crossing, plus):
+        faces = original(crossing, plus)
+        return [faces[0]._replace(vertices=(0,) + faces[0].vertices[1:])] + faces[1:]
+
+    monkeypatch.setattr(slicing, "_sections", swapped)
+    with pytest.raises(InternalInvariantError, match="not a cut point"):
+        slice_plus(fixture("cube_h1.json"), affine(1, 0, 0), F(1, 2), certify=False)
+
+
+@pytest.mark.parametrize("slicer", [slice_plus, slice_minus])
+def test_a_cut_point_off_the_level_is_refused(monkeypatch, slicer):
+    original = slicing._cut_point
+    moved = []
+
+    def first_moved(a, b, va, vb):
+        point = original(a, b, va, vb)
+        if moved:
+            return point
+        moved.append(point)
+        return (point[0] + F(1, 1000),) + point[1:]
+
+    monkeypatch.setattr(slicing, "_cut_point", first_moved)
+    with pytest.raises(InternalInvariantError, match="off the level"):
+        slicer(fixture("cube_h1.json"), affine(1, 0, 0), F(1, 2), certify=False)
 
 
 # -- measures -----------------------------------------------------------------

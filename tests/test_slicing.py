@@ -6,8 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import constant_blade_forms
+from conftest import (
+    atom_levels,
+    constant_blade_forms,
+    horizontal_square_chain,
+    unit_cube_chain,
+    unit_segment_chain,
+)
 
 from ruminslice import (
     DegenerateLevelError,
@@ -27,7 +35,6 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice import slicing
-from ruminslice.fixtures import horizontal_square_chain, unit_cube_chain, unit_segment_chain
 from ruminslice.slicing import (
     AffineFunction,
     band_bound,
@@ -345,6 +352,23 @@ class TestPropertyReport:
         trend = ", ".join(f"h={float(h):g}: excess={exc:.3e}" for h, _, _, exc in rows)
         assert report.entries[1].detail.startswith(f"band mass bound at t=1/2: {trend}")
 
+    def test_one_level_table_for_T_and_one_for_its_boundary(self, monkeypatch):
+        # every slice the report takes reads f off one table for T and one
+        # for dT; P5's coarea sweep builds its own
+        cube = unit_cube_chain()
+        built = []
+
+        class Counting(slicing._Values):
+            __slots__ = ()
+
+            def __init__(self, T, f):
+                built.append(T)
+                super().__init__(T, f)
+
+        monkeypatch.setattr(slicing, "_Values", Counting)
+        assert property_report(cube, fx_h1(), [F(1, 4), F(1, 2), F(3, 4)]).passed()
+        assert built == [cube, boundary(cube), cube]
+
     def test_random_chains_fuzz(self):
         # random chains, functions, multiplicities: the defining-formula
         # identities must hold exactly at every generic level
@@ -404,3 +428,33 @@ class TestPropertyReport:
         right = slice_plus(boundary(chain), f, t).chain
         total = (left + right).canonical()
         assert total.is_empty()
+
+
+@st.composite
+def grid_chains(draw):
+    """Chains with vertices on {0, 1, 2}^(2n+1), where f is often constant on a face."""
+    params = HeisParams(draw(st.sampled_from((1, 2))))
+    degree = draw(st.integers(min_value=0, max_value=3))
+    corner = st.tuples(*(st.integers(min_value=0, max_value=2).map(F)
+                         for _ in range(params.dim)))
+    simplices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        vertices = draw(st.lists(corner, min_size=degree + 1, max_size=degree + 1, unique=True))
+        try:
+            simplices.append(Simplex(tuple(vertices), draw(st.sampled_from((F(-1), F(1), F(2))))))
+        except ParameterError:
+            continue
+    assume(simplices)
+    return SimplicialCurrent(params, degree, simplices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(T=grid_chains(), coeffs=st.lists(st.integers(min_value=-1, max_value=1),
+                                        min_size=5, max_size=5),
+       const=st.integers(min_value=-2, max_value=2))
+def test_p0_atoms_are_the_coordinate_atoms(T, coeffs, const):
+    f = AffineFunction(tuple(coeffs[:T.params.dim]), F(const, 2))
+    atoms = atom_levels(T, f)
+    (entry,) = property_report(T, f, [], properties={0}).entries
+    shown = "{" + ", ".join(str(a) for a in atoms) + "}"
+    assert entry.detail == f"finite atom set of (mu_T + mu_dT) o f^-1: {len(atoms)} level(s) {shown}"

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import fixture
 
 from ruminslice import (
     DegenerateLevelError,
@@ -35,7 +35,6 @@ from ruminslice import (
     slice_plus,
 )
 from ruminslice.clipping import _cut_point, _edge_key, _split
-from ruminslice.formio import load_chain
 from ruminslice.slicing import AffineFunction, coarea_sweep, measure_between
 
 F = Fraction
@@ -121,10 +120,6 @@ def cube_mesh(size):
                         vertices[1], vertices[2] = vertices[2], vertices[1]
                     simplices.append(Simplex(tuple(vertices), F(1)))
     return SimplicialCurrent(HeisParams(1), 3, simplices)
-
-
-def fixture(name):
-    return load_chain(FIXTURES / name)
 
 
 def affine(*coeffs):

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_boundary, coordinate_canonical, coordinate_slice
+from conftest import coordinate_boundary, coordinate_canonical, coordinate_slice, fixture
 from test_sections import exact_chains, function_for, level_between
 from test_slice_certificate import exact_cases
-from test_sweep_kernel import affine, cube_mesh, fixture
+from test_sweep_kernel import affine, cube_mesh
 
 from ruminslice import (
     DegenerateLevelError,
