@@ -37,7 +37,7 @@ from .formio import (
     load_chain,
     parse_affine,
 )
-from .slicing import coarea_sweep, property_report, slice_minus, slice_plus
+from .slicing import COAREA_TOLERANCE, coarea_sweep, property_report, slice_minus, slice_plus
 from .verify import complex_battery, lemma_battery, run_batteries
 
 
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--b", required=True, type=_fraction)
     pa.add_argument("--grid", required=True, type=int)
     pa.add_argument("--out")
-    pa.add_argument("--tol", type=_tolerance, default=1e-2)
+    pa.add_argument("--tol", type=_tolerance, default=COAREA_TOLERANCE)
 
     pr = sub.add_parser("report", help="the seven slicing properties on a chain")
     pr.add_argument("--chain", required=True)

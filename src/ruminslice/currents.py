@@ -28,9 +28,12 @@ with barycentric weights lambda is therefore sum_i lambda_i V(v_i),
 exactly, and E is framed only at the k+1 vertices (at the centroid for
 the constant blade pairings).  A batch of forms is paired through a
 per-simplex moment table (see :func:`pair_forms_batch`), one pass over
-the nodes for the whole batch.
+the nodes for the whole batch.  T restricted by a weight g
+(:func:`restrict_by_fn`) pairs through the same table, with g(p_q)
+multiplied into each node's weight.
 
-:func:`measure_of` is ``mass(restrict_to_set(T, planes))``.  A cut point
+:func:`measure_of` is ``mass(restrict_to_set(T, planes))``, or for a
+predicate the mass quadrature over the nodes inside it.  A cut point
 lies strictly inside its edge, so no clip piece is degenerate.
 
 Chains merge on integer vertex ids (see :func:`_merge`): ``canonical()``
@@ -49,7 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import MultiVector, pair, wedge_vectors
+from .algebra import MultiVector, sort_indices, wedge_vectors
 from .clipping import HalfSpace, _split, exact
 from .errors import (
     AdmissibilityError,
@@ -197,24 +200,6 @@ class SimplicialCurrent:
         return f"SimplicialCurrent(n={self.params.n}, degree={self.degree}, size={len(self.simplices)})"
 
 
-@lru_cache(maxsize=None)
-def _permutation_sign(order: tuple) -> int:
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # -- merging on vertex ids ----------------------------------------------------
 
 
@@ -262,10 +247,8 @@ def _merge(cells) -> list:
     """
     merged = {}
     for cell in cells:
-        ids = cell.vertices
-        order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
-        key = tuple(ids[i] for i in order)
-        mult = cell.multiplicity if _permutation_sign(order) > 0 else -cell.multiplicity
+        sign, key = sort_indices(cell.vertices)
+        mult = cell.multiplicity if sign > 0 else -cell.multiplicity
         merged[key] = merged.get(key, 0) + mult
     return [_Cell(ids, m) for ids, m in sorted(merged.items()) if m != 0]
 
@@ -429,6 +412,19 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
     if degree_hint is None:
         degree_hint = T.quadrature_degree + max(
             (f.max_coeff_degree() for f in forms), default=0)
+    return _pair_batch(T, forms, degree_hint, None)
+
+
+def _pair_batch(T: SimplicialCurrent, forms: list, degree: int, weight) -> list:
+    """The moment-table pairing of :func:`pair_forms_batch`, by the rule exact to ``degree``.
+
+    With a ``weight``, each node's quadrature weight is multiplied by
+    ``weight(Point)`` there, and nodes where the product is 0 are skipped.
+    A form over another group than T is refused.
+    """
+    for omega in forms:
+        if omega.params != T.params:
+            raise DimensionMismatchError("form and chain over different groups")
     terms = [
         [(blade, expo, coef) for blade, poly in omega.coeffs.items()
          for expo, coef in poly.terms.items()]
@@ -443,8 +439,12 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
     totals = [0] * len(forms)
     for s in T.simplices:
         moments = dict.fromkeys(keys, 0)
-        for coords, weight, tangent in _node_tangents(
-                s, _vertex_tangents(T.params, s), degree_hint):
+        for coords, node_weight, tangent in _node_tangents(
+                s, _vertex_tangents(T.params, s), degree):
+            if weight is not None:
+                node_weight = node_weight * weight(Point.from_coords(coords))
+                if node_weight == 0:
+                    continue
             powers = []
             for c, highest in zip(coords, top):
                 row = [1]
@@ -453,7 +453,7 @@ def pair_forms_batch(T: SimplicialCurrent, forms, degree_hint=None):
                 powers.append(row)
             weighted = {}
             for expo in exponents:
-                value = weight
+                value = node_weight
                 for row, e in zip(powers, expo):
                     if e:
                         value = value * row[e]
@@ -476,7 +476,10 @@ def is_admissible(V: MultiVector, n: int) -> bool:
     of :func:`ruminslice.rumin._ideal_columns` over the k-blades, dotted
     with V's blade vector.  Defined for grades k <= n; such tangents make
     the pairing with quotient classes independent of the representative.
+    A multivector of another dimension than 2n + 1 is refused.
     """
+    if V.dim != 2 * n + 1:
+        raise DimensionMismatchError(f"a multivector in dimension {V.dim} over H^{n}")
     k = V.grade
     if k > n:
         raise ParameterError(f"admissibility is defined for grades <= n, got {k}")
@@ -516,13 +519,17 @@ def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
     return _mass_from_tangents(simplex, _vertex_tangents(params, simplex), quadrature_degree)
 
 
-def _mass_from_tangents(simplex: Simplex, vertex_tangents, quadrature_degree: int):
+def _mass_from_tangents(simplex: Simplex, vertex_tangents, quadrature_degree: int,
+                        region=None):
+    """int_S |V(p)| ds, or with a ``region`` predicate the quadrature sum
+    over the nodes inside it."""
     constant = _constant_tangent(vertex_tangents)
-    if constant is not None:
+    if constant is not None and region is None:
         return _tangent_norm(constant) * _parameter_volume(simplex.degree)
     acc = Fraction(0)
-    for _, weight, tangent in _node_tangents(simplex, vertex_tangents, quadrature_degree):
-        acc = acc + weight * _tangent_norm(tangent)
+    for coords, weight, tangent in _node_tangents(simplex, vertex_tangents, quadrature_degree):
+        if region is None or region(Point.from_coords(coords)):
+            acc = acc + weight * _tangent_norm(tangent)
     return acc
 
 
@@ -610,12 +617,8 @@ def measure_of(T: SimplicialCurrent, region):
     if callable(region):
         total = Fraction(0)
         for s in T.simplices:
-            acc = Fraction(0)
-            for coords, weight, tangent in _node_tangents(
-                    s, _vertex_tangents(T.params, s), T.quadrature_degree):
-                if region(Point.from_coords(coords)):
-                    acc = acc + weight * _tangent_norm(tangent)
-            total = total + abs(s.multiplicity) * acc
+            total = total + abs(s.multiplicity) * _mass_from_tangents(
+                s, _vertex_tangents(T.params, s), T.quadrature_degree, region)
         return total
     return mass(restrict_to_set(T, region))
 
@@ -706,20 +709,7 @@ class WeightedCurrent:
         if omega.grade != self.chain.degree:
             raise GradeMismatchError(self.chain.degree, omega.grade, "(T|g)(omega)")
         degree_hint = self.chain.quadrature_degree + omega.max_coeff_degree()
-        params = self.chain.params
-        total = 0
-        for s in self.chain.simplices:
-            acc = 0
-            for coords, weight_q, tangent in _node_tangents(
-                    s, _vertex_tangents(params, s), degree_hint):
-                point = Point.from_coords(coords)
-                g_val = self.weight(point)
-                if g_val == 0:
-                    continue
-                value = pair(omega.evaluate_at(point), MultiVector(params.dim, s.degree, tangent))
-                acc = acc + weight_q * g_val * value
-            total = total + s.multiplicity * acc
-        return total
+        return _pair_batch(self.chain, [omega], degree_hint, self.weight)[0]
 
 
 def dual_boundary_functional(T: SimplicialCurrent):

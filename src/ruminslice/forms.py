@@ -178,11 +178,6 @@ class PolyForm:
         return PolyForm(self.params, self.grade,
                         {b: p for b, p in self.coeffs.items() if vertical not in b})
 
-    def theta_part(self) -> "PolyForm":
-        vertical = self.params.dim - 1
-        return PolyForm(self.params, self.grade,
-                        {b: p for b, p in self.coeffs.items() if vertical in b})
-
     def is_horizontal(self) -> bool:
         vertical = self.params.dim - 1
         return all(vertical not in b for b in self.coeffs)

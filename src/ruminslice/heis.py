@@ -33,11 +33,6 @@ class HeisParams:
         """Topological dimension 2n+1."""
         return 2 * self.n + 1
 
-    @property
-    def homogeneous_dim(self) -> int:
-        """Homogeneous dimension Q = 2n+2."""
-        return 2 * self.n + 2
-
 
 @dataclass(frozen=True)
 class Point:

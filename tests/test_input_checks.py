@@ -2,9 +2,10 @@
 
 A function or half-space whose coefficient count is not the chain's
 group dimension used to be truncated by ``zip``, and so did a function
-evaluated at a point of another group; a ramp weight of band
-width h <= 0 used to construct; a property report with no level used to
-fail with an ``IndexError`` in P4.
+evaluated at a point of another group, a form paired with a chain of
+another group and a multivector of another dimension tested for
+admissibility; a ramp weight of band width h <= 0 used to construct; a
+property report with no level used to fail with an ``IndexError`` in P4.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ from conftest import horizontal_square_chain, unit_cube_chain, unit_segment_chai
 from ruminslice import (
     DimensionMismatchError,
     GammaWeight,
+    HeisParams,
+    MultiVector,
     ParameterError,
     Point,
+    PolyForm,
+    Simplex,
+    SimplicialCurrent,
+    is_admissible,
     measure_of,
+    pair_form,
     restrict_by_fn,
     restrict_to_set,
     slice_minus,
@@ -78,6 +86,25 @@ class TestWrongDimension:
         weight = GammaWeight((1, 0, 0), 0, 0, F(1, 2))
         with pytest.raises(DimensionMismatchError):
             weight(Point.from_coords(coords))
+
+    @pytest.mark.parametrize("pairing", [
+        pair_form,
+        lambda T, omega: restrict_by_fn(T, lambda p: 1).pair(omega),
+    ], ids=["pair_form", "restrict_by_fn"])
+    def test_a_form_over_another_group(self, pairing):
+        # zip would read dx2's frame index 1 as H^1's dy1 and give 1
+        segment = SimplicialCurrent(HeisParams(1), 1, [Simplex(((0, 0, 0), (0, 1, 0)))])
+        dx2 = PolyForm(HeisParams(2), 1, {(1,): 1})
+        with pytest.raises(DimensionMismatchError):
+            pairing(segment, dx2)
+
+    @pytest.mark.parametrize("V,n", [
+        (MultiVector(5, 1, {(4,): 1}), 1),
+        (MultiVector(3, 1, {(0,): 1}), 2),
+    ], ids=["h2_vector_over_h1", "h1_vector_over_h2"])
+    def test_is_admissible_on_a_multivector_of_another_dimension(self, V, n):
+        with pytest.raises(DimensionMismatchError):
+            is_admissible(V, n)
 
     def test_lipschitz_estimate_on_points_of_another_group(self):
         pairs = [(Point.origin(2), Point.from_coords((1, 0, 0, 0, 0)))]

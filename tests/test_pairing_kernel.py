@@ -2,8 +2,11 @@
 
 The oracle below is the direct path: at every quadrature node it wedges
 the framed edges (``conftest.tangent_at``), evaluates each form
-(``evaluate_at``) and pairs the two.  The kernel must return the same Fractions, on float
-chains too: ``Simplex`` converts float coordinates exactly.
+(``evaluate_at``) and pairs the two, times the weight at the node when
+one is given.  The kernel must return the same Fractions, on float
+chains too: ``Simplex`` converts float coordinates exactly.  A chain
+restricted by a weight (``restrict_by_fn``) pairs through the same
+kernel, and must match the weighted oracle on its (pre-split) chain.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from conftest import FIXTURES, constant_blade_forms, tangent_at
 
 from ruminslice import (
     AdmissibilityError,
+    GammaWeight,
     HeisParams,
     MultiVector,
     Simplex,
@@ -30,6 +34,7 @@ from ruminslice import (
     mass,
     measure_of,
     pair_current,
+    restrict_by_fn,
     restrict_to_set,
     rumin_class,
 )
@@ -54,7 +59,7 @@ F = Fraction
 # -- the per-node oracle --------------------------------------------------
 
 
-def oracle_pair_forms_batch(T, forms, degree_hint=None):
+def oracle_pair_forms_batch(T, forms, degree_hint=None, weight=None):
     forms = list(forms)
     if degree_hint is None:
         degree_hint = T.quadrature_degree + max(
@@ -66,8 +71,11 @@ def oracle_pair_forms_batch(T, forms, degree_hint=None):
                      for coords, weight in parameter_nodes(s.vertices, rule)]
         for index, omega in enumerate(forms):
             acc = 0
-            for point, weight, tangent in node_data:
-                acc = acc + weight * pair(omega.evaluate_at(point), tangent)
+            for point, node_weight, tangent in node_data:
+                g = 1 if weight is None else weight(point)
+                if g == 0:
+                    continue
+                acc = acc + node_weight * g * pair(omega.evaluate_at(point), tangent)
             totals[index] = totals[index] + s.multiplicity * acc
     return totals
 
@@ -212,6 +220,24 @@ def test_float_chains_relative(n, degree):
     forms = forms_for(rng, T.params, degree, 3)
     assert pair_forms_batch(T, forms) == oracle_pair_forms_batch(T, forms)
     assert mass(T) == oracle_mass(T)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_weighted_pairing_matches_the_weighted_oracle(size):
+    rng = random.Random(40 + size)
+    mesh = cube_mesh(size)
+    forms = forms_for(rng, mesh.params, mesh.degree, 1, max_degree=1)
+    weights = [
+        # the ramp's band cuts the corner at the origin, so the pre-split stays small
+        GammaWeight((1, 1, 1), 0, F(1, 4), F(1, 4)),
+        lambda p: 1 if p.x[0] > F(1, 3) else 0,
+    ]
+    for weight in weights:
+        functional = restrict_by_fn(mesh, weight)
+        for omega in forms:
+            value = functional.pair(omega)
+            assert isinstance(value, Fraction)
+            assert value == oracle_pair_forms_batch(functional.chain, [omega], weight=weight)[0]
 
 
 # -- admissibility ----------------------------------------------------------

@@ -215,6 +215,30 @@ def test_canonical_and_boundary_match_the_coordinate_merge(T):
     assert boundary(T) == coordinate_boundary(T)
 
 
+def inversion_merge(cells):
+    """The merge with each sign a brute-force count of inverted id pairs."""
+    merged = {}
+    for ids, mult in cells:
+        inversions = sum(ids[i] > ids[j] for i in range(len(ids)) for j in range(i + 1, len(ids)))
+        key = tuple(sorted(ids))
+        merged[key] = merged.get(key, 0) + (-mult if inversions % 2 else mult)
+    return [currents._Cell(k, m) for k, m in sorted(merged.items()) if m != 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_merge_folds_signs_as_an_inversion_count(data):
+    size = data.draw(st.integers(min_value=1, max_value=6))
+    ids = st.lists(st.integers(0, 9), min_size=size, max_size=size, unique=True)
+    mults = st.sampled_from((F(-1), F(1), F(1, 2), F(-3)))
+    cells = []
+    for base in data.draw(st.lists(ids, min_size=1, max_size=5)):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            shuffled = tuple(data.draw(st.permutations(base)))
+            cells.append(currents._Cell(shuffled, data.draw(mults)))
+    assert currents._merge(cells) == inversion_merge(cells)
+
+
 @pytest.mark.parametrize("size", sorted(MESHES))
 def test_mesh_boundary_matches_the_coordinate_merge(size):
     T = MESHES[size]
