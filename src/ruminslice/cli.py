@@ -181,6 +181,8 @@ def _cmd_coarea(args) -> int:
 def _cmd_report(args) -> int:
     chain, f = _load(args)
     values = sorted({f(v) for v in chain.vertices()})
+    if not values:
+        raise ParameterError("the chain is empty; nothing to slice")
     lo, hi = values[0], values[-1]
     if not lo < hi:
         raise ParameterError("the function is constant on the chain; nothing to slice")

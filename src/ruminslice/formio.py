@@ -440,8 +440,8 @@ def save_chain(T: SimplicialCurrent, path):
 # -- CSV -------------------------------------------------------------------
 
 
-def format_sig(value, digits=12) -> str:
-    return f"{float(value):.{digits}g}"
+def format_sig(value) -> str:
+    return f"{float(value):.12g}"
 
 
 def coarea_csv_lines(result) -> list:

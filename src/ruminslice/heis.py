@@ -51,11 +51,6 @@ class Point:
         return len(self.x)
 
     @classmethod
-    def origin(cls, n: int) -> "Point":
-        zero = Fraction(0)
-        return cls((zero,) * n, (zero,) * n, zero)
-
-    @classmethod
     def from_coords(cls, coords) -> "Point":
         coords = tuple(coords)
         if len(coords) % 2 != 1 or len(coords) < 3:

@@ -3,12 +3,15 @@
 Matrices are lists of row lists.  Sizes here are tiny (dimensions of
 blade spaces), so plain Gaussian elimination is plenty: :func:`rref` is
 the one Gauss-Jordan routine, and :func:`solve`, :func:`invert` and
-:func:`nullspace` read their answers off its output.  :func:`det` expands
-the k x k minors of a simplex's edges (k <= 2n+1).  The Rumin
-operators multiply by mostly-zero matrices (the Lefschetz middle inverse
-and the primitive projection), so they keep them as :func:`sparse_rows`
-and multiply with :func:`sparse_mat_vec`, which gives the same Fractions
-as the dense :func:`mat_vec`.
+:func:`nullspace` read their answers off its output.  :func:`solve`'s
+one library caller is the property report's point-in-simplex test
+(``slicing._point_in_chain``); the Rumin ideal solve reads its rows off
+:func:`rref` once per (n, grade) instead.  :func:`det` expands the
+k x k minors of a simplex's edges (k <= 2n+1).  The Rumin operators
+multiply by mostly-zero matrices (the Lefschetz middle inverse, the
+primitive projection and the ideal solve), so they keep them as
+:func:`sparse_rows` and multiply with :func:`sparse_mat_vec`, which
+gives the same Fractions as the dense :func:`mat_vec`.
 """
 
 from __future__ import annotations

@@ -195,20 +195,6 @@ class Poly:
             total = total + value
         return total
 
-    def scale_vars(self, factors) -> "Poly":
-        """Substitute ``v_i -> factors[i] * v_i`` for each variable."""
-        if len(factors) != self.nvars:
-            raise ValueError("need one scale factor per variable")
-        out = {}
-        for expo, coef in self.terms.items():
-            value = coef
-            for factor, e in zip(factors, expo):
-                if e:
-                    value = value * _coerce(factor) ** e
-            if value != 0:
-                out[expo] = out.get(expo, Fraction(0)) + value
-        return Poly(self.nvars, {e: c for e, c in out.items() if c != 0})
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"

@@ -53,10 +53,7 @@ def grundmann_moller(k: int, s: int) -> tuple:
 
 def rule_for_degree(k: int, degree: int) -> tuple:
     """Smallest Grundmann-Moller rule exact for the given total degree."""
-    s = max(0, (degree - 1 + 1) // 2) if degree > 1 else 0
-    while 2 * s + 1 < degree:
-        s += 1
-    return grundmann_moller(k, s)
+    return grundmann_moller(k, max(0, degree // 2))
 
 
 def parameter_nodes(vertices, rule):
@@ -70,17 +67,3 @@ def parameter_nodes(vertices, rule):
         nodes.append((coords, weight))
     return nodes
 
-
-def integrate_parametric(vertices, rule, integrand):
-    """sum_q w_q F(p_q): the parametric integral of F over a simplex.
-
-    ``vertices`` are the simplex's vertex coordinate tuples, ``rule`` a
-    Grundmann-Moller rule on the simplex of that degree (see
-    :func:`rule_for_degree`) and ``integrand`` the function F of a
-    coordinate tuple.  The result is exact when F is a polynomial of total degree
-    at most the rule's and the inputs are rational.  Public API.
-    """
-    total = 0
-    for coords, weight in parameter_nodes(vertices, rule):
-        total = total + weight * integrand(coords)
-    return total

@@ -21,13 +21,16 @@ land in J^(n+1).  scr_L is total on grade-n forms: on a pure theta part
 theta ^ beta it returns the horizontal solution of L(u) = -L(beta),
 so the lift cancels theta parts automatically.
 
-L, its middle inverse and the primitive projection are fixed linear maps
-on each monomial's vector of blade coefficients.  Their exact matrices
-are built once per (n, grade) from one table of constant generators
-(:func:`_generator_columns`, Covector wedges with theta and dtheta) and
-stored as sparse rows, so a monomial costs one product per nonzero
-entry.  Every output is still checked: ``L_inv`` verifies dtheta ^ u = w,
-and every high-degree class passes ``is_in_J``.
+The middle inverse of L, the primitive projection and the ideal solve
+behind ``is_in_I`` are fixed linear maps on each monomial's vector of
+blade coefficients.  Their exact matrices are built once per (n, grade)
+from one table of constant generators (:func:`_generator_columns`,
+Covector wedges with theta and dtheta) and stored as sparse rows; the
+ideal solve's rows are read off one Gauss-Jordan pass on the generator
+matrix (:func:`_ideal_solver`).  One kernel, :func:`_apply`, multiplies
+every monomial by such rows, at one product per nonzero entry.  Every
+output is still checked: ``L_inv`` verifies dtheta ^ u = w, and every
+high-degree class passes ``is_in_J``.
 """
 
 from __future__ import annotations
@@ -102,37 +105,37 @@ def _middle_inverse_rows(n: int) -> tuple:
     return linalg.sparse_rows(linalg.invert(rows))
 
 
-# -- per-monomial vectorization ------------------------------------------
+# -- the per-monomial kernel -----------------------------------------------
 
 
-def _monomial_vectors(form: PolyForm, blade_index: dict):
-    """Split a form into {exponent tuple: coefficient vector over blades}."""
+def _monomial_vectors(form: PolyForm, blades: tuple) -> dict:
+    """Split a form into {exponent tuple: coefficient vector over ``blades``}."""
+    index = {b: i for i, b in enumerate(blades)}
+    width = len(blades)
     slices = {}
-    width = len(blade_index)
     for blade, poly in form.coeffs.items():
-        col = blade_index.get(blade)
+        col = index.get(blade)
         if col is None:
             raise InternalInvariantError(f"unexpected blade {blade!r}")
         for expo, coef in poly.terms.items():
             vec = slices.get(expo)
             if vec is None:
-                vec = [Fraction(0)] * width
-                slices[expo] = vec
+                vec = slices[expo] = [Fraction(0)] * width
             vec[col] = coef
     return slices
 
 
-def _form_from_vectors(params: HeisParams, grade: int, blades, slices) -> PolyForm:
-    coeffs = {}
+def _apply(params: HeisParams, rows, slices: dict, grade: int, blades: tuple) -> PolyForm:
+    """The grade form whose monomial vectors are ``rows`` times those of ``slices``.
+
+    ``rows`` are sparse rows (:func:`linalg.sparse_rows`), one per blade of
+    ``blades``; ``slices`` is :func:`_monomial_vectors` output.
+    """
+    terms = {}
     for expo, vec in slices.items():
-        for blade, value in zip(blades, vec):
+        for blade, value in zip(blades, linalg.sparse_mat_vec(rows, vec)):
             if value:
-                coeffs.setdefault(blade, {})[expo] = value
-    return _form_from_terms(params, grade, coeffs)
-
-
-def _form_from_terms(params: HeisParams, grade: int, terms: dict) -> PolyForm:
-    """The form with coefficient dicts ``{blade: {expo: nonzero Fraction}}``."""
+                terms.setdefault(blade, {})[expo] = value
     dim = params.dim
     return PolyForm._trusted(params, grade,
                              {b: Poly._trusted(dim, t) for b, t in terms.items()})
@@ -149,47 +152,48 @@ def _ideal_columns(n: int, grade: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _ideal_matrix(n: int, grade: int):
-    """Rows of the (alpha ^ theta, beta ^ dtheta) generator columns, with tags."""
+def _ideal_solver(n: int, grade: int) -> tuple:
+    """Sparse (alpha rows, beta rows, check rows) of the ideal solve A x = b.
+
+    A has the :func:`_ideal_columns` as columns.  One Gauss-Jordan pass on
+    [A | 1], with pivots sought in A's columns only, leaves [R | E]; the
+    row operations depend on A alone, so E b is the reduced right-hand
+    side that :func:`linalg.solve` builds for b.  Row i of E b below the
+    rank is the value of the i-th pivot variable (free variables are 0),
+    split into the alpha (theta) and beta (dtheta) unknowns; the rows of E
+    past the rank vanish on b exactly when A x = b is consistent.
+    """
     columns = _ideal_columns(n, grade)
-    tags = tuple([("alpha", b) for b in full_blades(n, grade - 1)]
-                 + [("beta", b) for b in full_blades(n, grade - 2)])
-    rows = linalg.transpose(columns) if columns else []
-    return rows, tags
+    size = len(full_blades(n, grade))
+    width = len(columns)
+    work, pivots = linalg.rref([row + [int(i == j) for j in range(size)]
+                                for i, row in enumerate(linalg.transpose(columns))], width)
+    reduction = linalg.sparse_rows(row[width:] for row in work)
+    solution = [()] * width
+    for row, c in zip(reduction, pivots):
+        solution[c] = row
+    split = len(full_blades(n, grade - 1))
+    return tuple(solution[:split]), tuple(solution[split:]), reduction[len(pivots):]
 
 
 def is_in_I(omega: PolyForm):
-    """Decide omega = alpha ^ theta + beta ^ dtheta by exact linear solve.
+    """Decide omega = alpha ^ theta + beta ^ dtheta by an exact linear solve.
 
-    Returns (flag, alpha, beta); the witnesses are None when the answer
-    is negative or the corresponding grade is empty.
+    Each monomial's coefficient vector goes through the cached rows of
+    :func:`_ideal_solver`.  Returns (flag, alpha, beta); the witnesses
+    are None when the answer is negative, and beta is None below grade 2.
     """
     params = omega.params
     n = params.n
     k = omega.grade
     if k == 0:
         return (omega.is_zero(), None, None)
-    if omega.is_zero():
-        return (True, PolyForm.zero(params, k - 1),
-                PolyForm.zero(params, k - 2) if k >= 2 else None)
-    rows, tags = _ideal_matrix(n, k)
-    blades = full_blades(n, k)
-    blade_index = {b: i for i, b in enumerate(blades)}
-    slices = _monomial_vectors(omega, blade_index)
-    alpha_terms = {}
-    beta_terms = {}
-    for expo, vec in slices.items():
-        if not rows:
-            return (False, None, None)
-        solution = linalg.solve(rows, vec)
-        if solution is None:
-            return (False, None, None)
-        for value, (kind, blade) in zip(solution, tags):
-            if value:
-                store = alpha_terms if kind == "alpha" else beta_terms
-                store.setdefault(blade, {})[expo] = value
-    alpha = _form_from_terms(params, k - 1, alpha_terms)
-    beta = _form_from_terms(params, k - 2, beta_terms) if k >= 2 else None
+    alpha_rows, beta_rows, checks = _ideal_solver(n, k)
+    slices = _monomial_vectors(omega, full_blades(n, k))
+    if any(any(linalg.sparse_mat_vec(checks, vec)) for vec in slices.values()):
+        return (False, None, None)
+    alpha = _apply(params, alpha_rows, slices, k - 1, full_blades(n, k - 1))
+    beta = _apply(params, beta_rows, slices, k - 2, full_blades(n, k - 2)) if k >= 2 else None
     return (True, alpha, beta)
 
 
@@ -232,13 +236,8 @@ def canonical_rep(omega: PolyForm) -> PolyForm:
     if projection is None:
         return horizontal
     blades = horizontal_blades(n, k)
-    blade_index = {b: i for i, b in enumerate(blades)}
-    slices = _monomial_vectors(horizontal, blade_index)
-    out = {}
-    for expo, vec in slices.items():
-        shadow = linalg.sparse_mat_vec(projection, vec)
-        out[expo] = [a - b for a, b in zip(vec, shadow)]
-    return _form_from_vectors(params, k, blades, out)
+    return horizontal - _apply(params, projection, _monomial_vectors(horizontal, blades),
+                               k, blades)
 
 
 # -- Lefschetz operator ----------------------------------------------------
@@ -265,13 +264,8 @@ def L_inv(w: PolyForm) -> PolyForm:
         raise ParameterError(f"L_inv expects grade {n + 1}, got {w.grade}")
     if not w.is_horizontal():
         raise ParameterError("L_inv expects a horizontal form")
-    inverse = _middle_inverse_rows(n)
-    source = horizontal_blades(n, n - 1)
-    target = horizontal_blades(n, n + 1)
-    blade_index = {b: i for i, b in enumerate(target)}
-    slices = _monomial_vectors(w, blade_index)
-    out = {expo: linalg.sparse_mat_vec(inverse, vec) for expo, vec in slices.items()}
-    result = _form_from_vectors(params, n - 1, source, out)
+    slices = _monomial_vectors(w, horizontal_blades(n, n + 1))
+    result = _apply(params, _middle_inverse_rows(n), slices, n - 1, horizontal_blades(n, n - 1))
     if not wedge_forms(PolyForm.dtheta(params), result) == w:
         raise InternalInvariantError("Lefschetz solve failed to verify")
     return result

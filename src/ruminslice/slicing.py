@@ -648,6 +648,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         f.lipschitz_constant()
     if not t_samples and (requested(6) or (requested(4) and not middle)):
         raise ParameterError("properties (4) and (6) need at least one level in t_samples")
+    if sweep is None and not values.dot and requested(5) and not middle:
+        raise ParameterError("property (5) on an empty chain needs an explicit sweep")
 
     entries = []
 

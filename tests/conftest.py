@@ -155,3 +155,46 @@ def coordinate_slice(T, f, t, side):
     if plus:
         return chain, restricted_boundary - boundary_of_restricted
     return chain, boundary_of_restricted - restricted_boundary
+
+
+# -- small helpers the library does not need ------------------------------------
+
+
+def origin(n):
+    """The identity (0, ..., 0) of H^n."""
+    from fractions import Fraction
+
+    from ruminslice.heis import Point
+
+    return Point.from_coords((Fraction(0),) * (2 * n + 1))
+
+
+def scale_vars(poly, factors):
+    """Substitute ``v_i -> factors[i] * v_i`` in a :class:`Poly`."""
+    from fractions import Fraction
+
+    from ruminslice.polys import Poly
+
+    if len(factors) != poly.nvars:
+        raise ValueError("need one scale factor per variable")
+    out = {}
+    for expo, coef in poly.terms.items():
+        for factor, e in zip(factors, expo):
+            coef = coef * Fraction(factor) ** e
+        out[expo] = coef
+    return Poly(poly.nvars, out)
+
+
+def integrate_parametric(vertices, rule, integrand):
+    """sum_q w_q F(p_q): the parametric integral of F over a simplex.
+
+    ``rule`` is a Grundmann-Moller rule on the simplex of that degree; the
+    result is exact when F is a polynomial of total degree at most the
+    rule's and the inputs are rational.
+    """
+    from ruminslice.quadrature import parameter_nodes
+
+    total = 0
+    for coords, weight in parameter_nodes(vertices, rule):
+        total = total + weight * integrand(coords)
+    return total

@@ -245,6 +245,14 @@ class TestReportCommand:
             assert f"{key} PASS" in out
         assert "P4" not in out and "P5" not in out
 
+    def test_empty_chain_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        save_chain(SimplicialCurrent(HeisParams(1), 1, []), path)
+        assert main(["report", "--chain", str(path), "--f", "x1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the chain is empty; nothing to slice\n"
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["report", "--chain", SQUARE, "--f", "x1", "--frobnicate"])

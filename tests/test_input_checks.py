@@ -5,7 +5,9 @@ group dimension used to be truncated by ``zip``, and so did a function
 evaluated at a point of another group, a form paired with a chain of
 another group and a multivector of another dimension tested for
 admissibility; a ramp weight of band width h <= 0 used to construct; a
-property report with no level used to fail with an ``IndexError`` in P4.
+property report with no level used to fail with an ``IndexError`` in P4,
+and one on an empty chain with a bare ``ValueError`` from P5's default
+sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import horizontal_square_chain, unit_cube_chain, unit_segment_chain
+from conftest import horizontal_square_chain, origin, unit_cube_chain, unit_segment_chain
 
 from ruminslice import (
     DimensionMismatchError,
@@ -107,7 +109,7 @@ class TestWrongDimension:
             is_admissible(V, n)
 
     def test_lipschitz_estimate_on_points_of_another_group(self):
-        pairs = [(Point.origin(2), Point.from_coords((1, 0, 0, 0, 0)))]
+        pairs = [(origin(2), Point.from_coords((1, 0, 0, 0, 0)))]
         with pytest.raises(DimensionMismatchError):
             lipschitz_estimate(H1_X, pairs)
 
@@ -132,4 +134,18 @@ class TestReportWithoutLevels:
     def test_properties_without_a_level_still_run(self):
         report = property_report(unit_segment_chain(), H1_X, [], properties={0, 1, 2, 3})
         assert [e.key for e in report.entries] == ["P0", "P1", "P2", "P3"]
+        assert report.passed()
+
+
+class TestReportOnAnEmptyChain:
+    EMPTY = SimplicialCurrent(HeisParams(1), 1, [])
+
+    def test_the_default_sweep_is_refused(self):
+        with pytest.raises(ParameterError, match="empty chain"):
+            property_report(self.EMPTY, H1_X, [F(1, 2)])
+
+    def test_an_explicit_sweep_or_no_p5_still_runs(self):
+        report = property_report(self.EMPTY, H1_X, [F(1, 2)], sweep=(0, 1, 4))
+        assert [e.key for e in report.entries] == ["P0", "P1", "P2", "P3", "P4", "P5", "P6"]
+        report = property_report(self.EMPTY, H1_X, [F(1, 2)], properties={0, 1, 2, 3, 6})
         assert report.passed()

@@ -5,11 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from ruminslice.quadrature import (
-    grundmann_moller,
-    integrate_parametric,
-    rule_for_degree,
-)
+from conftest import integrate_parametric
+
+from ruminslice.quadrature import grundmann_moller, rule_for_degree
 
 
 def dirichlet_integral(exponents):

@@ -8,7 +8,8 @@
   projection and of the Lefschetz middle inverse.  Their oracle is the
   dense ``linalg.mat_vec`` on the dense matrices.
 * The constant generator table (theta ^ blade, dtheta ^ blade) against
-  wedges of constant :class:`PolyForm` objects.
+  wedges of constant :class:`PolyForm` objects, and the ideal solve behind
+  ``is_in_I`` against ``linalg.solve`` on the generator matrix.
 * Library arithmetic builds trusted ``Poly``/``PolyForm`` objects; they
   must equal what the validating public constructors build from the same
   data, and those constructors must keep rejecting bad input.
@@ -44,7 +45,8 @@ from ruminslice.forms import PolyForm, d_poly, random_form
 from ruminslice.polys import Poly
 from ruminslice.rumin import (
     _generator_columns,
-    _ideal_matrix,
+    _ideal_columns,
+    _ideal_solver,
     _middle_inverse_rows,
     _primitive_projection,
     full_blades,
@@ -301,13 +303,39 @@ class TestGeneratorTable:
             assert _generator_columns(n, "dtheta", grade, True) == tuple(
                 _wedge_column(params, b, dtheta, targets) for b in sources)
 
-    def test_ideal_matrix_tags_follow_the_columns(self):
-        rows, tags = _ideal_matrix(2, 3)
-        assert len(rows) == len(full_blades(2, 3))
-        assert len(rows[0]) == len(tags) == len(full_blades(2, 2)) + len(full_blades(2, 1))
-        assert tags[0] == ("alpha", (0, 1)) and tags[-1] == ("beta", (4,))
+    def test_ideal_solver_matches_linalg_solve(self):
+        rng = random.Random(40)
+        outcomes = set()
+        for n in (1, 2, 3):
+            for k in range(1, 2 * n + 2):
+                rows = linalg.transpose(_ideal_columns(n, k))
+                alpha_rows, beta_rows, checks = _ideal_solver(n, k)
+                split = len(full_blades(n, k - 1))
+                assert len(alpha_rows) == split
+                assert len(beta_rows) == len(full_blades(n, k - 2)) == len(rows[0]) - split
+                # one check row per dimension of the cokernel of A
+                assert len(checks) == len(rows) - len(linalg.rref(rows)[1])
+                for consistent in (True, False) * 3:
+                    if consistent:
+                        # A x for a random x: the solve must find a solution
+                        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows[0]]
+                        b = linalg.mat_vec(rows, x)
+                    else:
+                        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
+                    want = linalg.solve(rows, b)
+                    if any(linalg.sparse_mat_vec(checks, b)):
+                        assert want is None
+                        outcomes.add(None)
+                        continue
+                    alpha = linalg.sparse_mat_vec(alpha_rows, b)
+                    beta = linalg.sparse_mat_vec(beta_rows, b)
+                    assert want is not None
+                    assert alpha == want[:split] and beta == want[split:]
+                    assert all(type(v) is Fraction for v in alpha + beta)
+                    outcomes.add(consistent)
+        assert outcomes == {True, False, None}
 
-    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("n", (1, 2, 3))
     def test_is_in_I_witnesses_reconstruct(self, n):
         params = HeisParams(n)
         theta, dtheta = PolyForm.theta(params), PolyForm.dtheta(params)
