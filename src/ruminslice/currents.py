@@ -22,15 +22,14 @@ V(p) is E pushed through the frame change at p.  The frame change fixes
 T and adds shift_b(p) T to each coordinate vector e_b, where shift_b(p)
 is the T coefficient of frame_change(p, e_b), linear in p.  So a blade
 of E that holds T stays fixed, and any other blade B adds, for each
-index b in B, +-shift_b(p) E_B to B with b swapped for T: every blade
-coefficient of V(p) is affine in p.  The tangent at a quadrature node
-with barycentric weights lambda is therefore sum_i lambda_i V(v_i),
-exactly, and E is framed only at the k+1 vertices (at the centroid for
-the constant blade pairings).  A batch of forms is paired through a
-per-simplex moment table (see :func:`pair_forms_batch`), one pass over
-the nodes for the whole batch.  T restricted by a weight g
-(:func:`restrict_by_fn`) pairs through the same table, with g(p_q)
-multiplied into each node's weight.
+index b in B, +-shift_b(p) E_B to B with b swapped for T: V(p) = E + L(p)
+with L linear in p.  Each simplex gets E and L once (see :func:`_tangent`),
+and V(p) = E + L(p) is evaluated at each point that needs it: the
+quadrature nodes, and the centroid for the constant blade pairings.  A
+batch of forms is paired through a per-simplex moment table (see
+:func:`pair_forms_batch`), one pass over the nodes for the whole batch.
+T restricted by a weight g (:func:`restrict_by_fn`) pairs through the
+same table, with g(p_q) multiplied into each node's weight.
 
 :func:`measure_of` is ``mass(restrict_to_set(T, planes))``, or for a
 predicate the mass quadrature over the nodes inside it.  A cut point
@@ -291,23 +290,51 @@ def _frame_moves(n: int, blade: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _horizontal_units(n: int) -> tuple:
+def _shift_rows(n: int) -> tuple:
+    """shift_b(p) for each horizontal index b, as ((axis, coefficient), ...).
+
+    shift_b(p) is the T coefficient of frame_change(p, e_b), linear in p,
+    so its coefficients are read once off frame_change at the unit points.
+    """
     dim = 2 * n + 1
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(2 * n))
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    points = [Point.from_coords(unit) for unit in units]
+    return tuple(
+        tuple((axis, c) for axis, point in enumerate(points)
+              if (c := frame_change(point, units[b])[-1]) != 0)
+        for b in range(2 * n))
 
 
-def _framed(n: int, kvector: dict, coords) -> dict:
-    """The coordinate k-vector ``kvector`` framed at ``coords``: V(p) from E."""
-    point = Point.from_coords(coords)
-    units = _horizontal_units(n)
-    shifts = {}
-    out = dict(kvector)
+def _tangent(n: int, simplex) -> tuple:
+    """(E, L, constant): the simplex's tangent V(p) = E + L(p).
+
+    E is :func:`_edge_kvector`; L maps each target blade of
+    :func:`_frame_moves` to {axis: coefficient}, so L(p)_B = sum c p_axis.
+    ``constant`` is true when L vanishes on every edge: V then takes one
+    value on the whole simplex.
+    """
+    kvector = _edge_kvector(simplex)
+    rows = _shift_rows(n)
+    linear = {}
     for blade, c in kvector.items():
         for b, sign, target in _frame_moves(n, blade):
-            if b not in shifts:
-                shifts[b] = frame_change(point, units[b])[-1]
-            if shifts[b]:
-                out[target] = out.get(target, 0) + sign * shifts[b] * c
+            row = linear.setdefault(target, {})
+            for axis, a in rows[b]:
+                row[axis] = row.get(axis, 0) + sign * a * c
+    constant = not linear or not any(
+        sum(c * edge[axis] for axis, c in row.items())
+        for edge in simplex.edges() for row in linear.values())
+    return kvector, linear, constant
+
+
+def _tangent_at(tangent, coords) -> dict:
+    """E + L(coords) of a :func:`_tangent`, as {blade: coefficient} without zeros."""
+    kvector, linear, _ = tangent
+    if not linear:
+        return kvector
+    out = dict(kvector)
+    for target, row in linear.items():
+        out[target] = out.get(target, 0) + sum(c * coords[axis] for axis, c in row.items())
     return {b: c for b, c in out.items() if c != 0}
 
 
@@ -323,51 +350,11 @@ def sqrt_exact_or_float(value):
     return math.sqrt(float(value))
 
 
-def _vertex_tangents(params: HeisParams, simplex: Simplex) -> list:
-    """Blade coefficients of the tangent at each vertex, in vertex order."""
-    kvector = _edge_kvector(simplex)
-    if not any(_frame_moves(params.n, blade) for blade in kvector):
-        # every blade holds T (or E is 1 or 0): V(p) = E everywhere
-        return [kvector] * len(simplex.vertices)
-    return [_framed(params.n, kvector, v) for v in simplex.vertices]
-
-
-def _constant_tangent(vertex_tangents):
-    """The tangent coefficients when position-independent, else None.
-
-    Takes the output of :func:`_vertex_tangents`.  Tangent blade
-    coefficients are affine in the point (the frame change moves only
-    the T coefficient, affinely, and a blade holds T at most once), so
-    agreeing on every vertex forces agreement everywhere.
-    """
-    first = vertex_tangents[0]
-    if all(v == first for v in vertex_tangents[1:]):
-        return first
-    return None
-
-
-def _node_tangents(simplex: Simplex, vertex_tangents, degree: int) -> list:
-    """(coords, weight, tangent) at each node of the rule exact to ``degree``.
-
-    ``tangent`` maps blades to coefficients.  Blade coefficients are
-    affine in the point, so the node tangent is sum_i lambda_i V(v_i)
-    over the node's barycentric weights, equal to the wedge of the framed
-    edges there.
-    """
-    rule = rule_for_degree(simplex.degree, degree)
-    nodes = parameter_nodes(simplex.vertices, rule)
-    constant = _constant_tangent(vertex_tangents)
-    if constant is not None:
-        return [(coords, weight, constant) for coords, weight in nodes]
-    blades = dict.fromkeys(b for tangent in vertex_tangents for b in tangent)
-    out = []
-    for (barycentric, _), (coords, weight) in zip(rule, nodes):
-        tangent = {
-            b: sum(lam * v.get(b, 0) for lam, v in zip(barycentric, vertex_tangents))
-            for b in blades
-        }
-        out.append((coords, weight, tangent))
-    return out
+def _node_tangents(simplex: Simplex, tangent, degree: int) -> list:
+    """(coords, weight, V(coords)) at each node of the rule exact to
+    ``degree``, for the simplex's :func:`_tangent`."""
+    nodes = parameter_nodes(simplex.vertices, rule_for_degree(simplex.degree, degree))
+    return [(coords, weight, _tangent_at(tangent, coords)) for coords, weight in nodes]
 
 
 def _tangent_norm(tangent):
@@ -436,11 +423,10 @@ def _pair_batch(T: SimplicialCurrent, forms: list, degree: int, weight) -> list:
         exponents_of.setdefault(blade, []).append(expo)
     exponents = {expo for _, expo in keys}
     top = [max((e[axis] for e in exponents), default=0) for axis in range(T.params.dim)]
-    totals = [0] * len(forms)
+    totals = [Fraction(0)] * len(forms)
     for s in T.simplices:
         moments = dict.fromkeys(keys, 0)
-        for coords, node_weight, tangent in _node_tangents(
-                s, _vertex_tangents(T.params, s), degree):
+        for coords, node_weight, tangent in _node_tangents(s, _tangent(T.params.n, s), degree):
             if weight is not None:
                 node_weight = node_weight * weight(Point.from_coords(coords))
                 if node_weight == 0:
@@ -505,7 +491,7 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     if c.degree <= n:
         degree_hint = T.quadrature_degree + omega.max_coeff_degree()
         for index, s in enumerate(T.simplices):
-            for _, _, tangent in _node_tangents(s, _vertex_tangents(T.params, s), degree_hint):
+            for _, _, tangent in _node_tangents(s, _tangent(n, s), degree_hint):
                 if not is_admissible(MultiVector(T.params.dim, c.degree, tangent), n):
                     raise AdmissibilityError(
                         f"simplex {index} has an inadmissible tangent; "
@@ -516,20 +502,19 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
 
 def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
     """int_S |V(p)| ds for one simplex."""
-    return _mass_from_tangents(simplex, _vertex_tangents(params, simplex), quadrature_degree)
+    return _mass_from_tangent(simplex, _tangent(params.n, simplex), quadrature_degree)
 
 
-def _mass_from_tangents(simplex: Simplex, vertex_tangents, quadrature_degree: int,
-                        region=None):
-    """int_S |V(p)| ds, or with a ``region`` predicate the quadrature sum
-    over the nodes inside it."""
-    constant = _constant_tangent(vertex_tangents)
-    if constant is not None and region is None:
-        return _tangent_norm(constant) * _parameter_volume(simplex.degree)
+def _mass_from_tangent(simplex: Simplex, tangent, quadrature_degree: int, region=None):
+    """int_S |V(p)| ds for the simplex's :func:`_tangent`, or with a
+    ``region`` predicate the quadrature sum over the nodes inside it."""
+    if tangent[2] and region is None:
+        return (_tangent_norm(_tangent_at(tangent, simplex.vertices[0]))
+                * _parameter_volume(simplex.degree))
     acc = Fraction(0)
-    for coords, weight, tangent in _node_tangents(simplex, vertex_tangents, quadrature_degree):
+    for coords, weight, value in _node_tangents(simplex, tangent, quadrature_degree):
         if region is None or region(Point.from_coords(coords)):
-            acc = acc + weight * _tangent_norm(tangent)
+            acc = acc + weight * _tangent_norm(value)
     return acc
 
 
@@ -545,7 +530,7 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
     """T(dw_B) for the constant blade forms dw_B, keyed by blade B.
 
     V_B is affine in the point, so int_S V_B ds = V_B(centroid) / k!,
-    exactly: one framing of E per simplex.  Blades absent from the
+    exactly: one evaluation of V per simplex.  Blades absent from the
     result pair to zero.
     """
     corners = T.degree + 1
@@ -554,7 +539,7 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
     for s in T.simplices:
         centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
         weight = s.multiplicity * volume
-        for b, c in _framed(T.params.n, _edge_kvector(s), centroid).items():
+        for b, c in _tangent_at(_tangent(T.params.n, s), centroid).items():
             totals[b] = totals.get(b, 0) + weight * c
     return totals
 
@@ -572,9 +557,9 @@ def _whole(T: SimplicialCurrent, index: int, whole: dict) -> tuple:
     entry = whole.get(index)
     if entry is None:
         s = T.simplices[index]
-        vertex_tangents = _vertex_tangents(T.params, s)
-        value = _mass_from_tangents(s, vertex_tangents, T.quadrature_degree)
-        scales = _constant_tangent(vertex_tangents) is not None and isinstance(value, Fraction)
+        tangent = _tangent(T.params.n, s)
+        value = _mass_from_tangent(s, tangent, T.quadrature_degree)
+        scales = tangent[2] and isinstance(value, Fraction)
         entry = whole[index] = (value, scales)
     return entry
 
@@ -617,8 +602,8 @@ def measure_of(T: SimplicialCurrent, region):
     if callable(region):
         total = Fraction(0)
         for s in T.simplices:
-            total = total + abs(s.multiplicity) * _mass_from_tangents(
-                s, _vertex_tangents(T.params, s), T.quadrature_degree, region)
+            total = total + abs(s.multiplicity) * _mass_from_tangent(
+                s, _tangent(T.params.n, s), T.quadrature_degree, region)
         return total
     return mass(restrict_to_set(T, region))
 
@@ -695,8 +680,9 @@ class WeightedCurrent:
     def __init__(self, chain: SimplicialCurrent, weight):
         if isinstance(weight, GammaWeight):
             _check_coeffs(chain, weight.fcoeffs)
+            # below the level the ramp is 0, so those pieces would pair to 0
             low, high = weight.level_halfspaces()
-            bands = ([low.complement()], [low, high.complement()], [low, high])
+            bands = ([low, high.complement()], [low, high])
             chain = chain.with_simplices(
                 piece for s in chain.simplices for band in bands
                 for piece in restrict_to_set(chain.with_simplices([s]), band).simplices)

@@ -373,7 +373,8 @@ def chain_from_dict(data: dict) -> SimplicialCurrent:
     Anything that is not a well-formed "rumin-slice/1" object raises
     :class:`ChainFormatError`: wrong JSON types (a top-level list, a
     simplex entry or vertex row that is not an object or list, a boolean
-    index) included.
+    index, an ``n`` or ``degree`` that is not a JSON integer in range)
+    included.
     """
     if not isinstance(data, dict):
         raise ChainFormatError(f"a chain file holds a JSON object, got {type(data).__name__}")
@@ -382,12 +383,15 @@ def chain_from_dict(data: dict) -> SimplicialCurrent:
         raise ChainFormatError(
             f"unsupported chain version {version!r}; this build reads {CHAIN_VERSION!r}")
     try:
-        n = int(data["n"])
-        degree = int(data["degree"])
+        n = data["n"]
+        degree = data["degree"]
         raw_vertices = data["vertices"]
         raw_simplices = data["simplices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChainFormatError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise ChainFormatError(f"missing field: {exc}") from exc
+    if not (_is_json_int(n) and n >= 1 and _is_json_int(degree) and 0 <= degree <= 2 * n + 1):
+        raise ChainFormatError(
+            f"'n' must be a JSON integer >= 1 and 'degree' one in 0..2n+1; got {n!r}, {degree!r}")
     if not isinstance(raw_vertices, list) or not isinstance(raw_simplices, list):
         raise ChainFormatError("'vertices' and 'simplices' must be lists")
     params = HeisParams(n)

@@ -604,10 +604,6 @@ def _point_in_chain(simplices, coords) -> bool:
         solution = linalg.solve(rows, rhs)
         if solution is None:
             continue
-        residue = [sum(r * s_ for r, s_ in zip(row, solution)) - b
-                   for row, b in zip(rows, rhs)]
-        if any(v != 0 for v in residue):
-            continue
         if all(lam >= 0 for lam in solution) and sum(solution) <= 1:
             return True
     return False

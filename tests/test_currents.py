@@ -321,6 +321,15 @@ class TestWeightedRestriction:
         functional = restrict_by_fn(seg, weight)
         assert functional.pair(const_form(params, (0,))) == F(3, 4)
 
+    def test_ramp_above_the_whole_chain_pairs_to_fraction_zero(self):
+        # the ramp is 0 on the whole segment: no piece is kept, and the
+        # pairing is still an exact 0
+        seg = unit_segment_chain()
+        functional = restrict_by_fn(seg, GammaWeight((F(1), F(0), F(0)), F(0), F(2), F(1, 2)))
+        assert functional.chain.is_empty()
+        value = functional.pair(const_form(seg.params, (0,)))
+        assert value == 0 and isinstance(value, Fraction)
+
     def test_indicator_weight_matches_restriction(self):
         # sampling an indicator is exact once the chain is split along
         # the cut, where every quadrature node sees a constant weight

@@ -247,7 +247,8 @@ class TestChainFiles:
         "top-level list", "simplex entry is a list", "vertex row is a number",
         "vertex row is a string", "boolean vertex index", "boolean coordinate",
         "boolean multiplicity", "vertices is an object", "simplices is a number",
-        "boolean quadrature order",
+        "boolean quadrature order", "fractional n", "fractional degree", "boolean n",
+        "string n", "negative degree", "degree past 2n+1", "n of zero",
     ])
     def test_malformed_json_types_rejected(self, fault):
         data = chain_to_dict(unit_segment_chain())
@@ -269,6 +270,22 @@ class TestChainFiles:
             data["vertices"] = {"0": ["0", "0", "0"]}
         elif fault == "simplices is a number":
             data["simplices"] = 3
+        elif fault == "fractional n":
+            data["n"] = 1.9
+        elif fault == "fractional degree":
+            data["degree"] = 1.5
+        elif fault == "boolean n":
+            data["n"] = True
+        elif fault == "string n":
+            data["n"] = "1"
+        elif fault == "negative degree":
+            data["degree"] = -1
+            data["simplices"] = []
+        elif fault == "degree past 2n+1":
+            data["degree"] = 4
+            data["simplices"] = []
+        elif fault == "n of zero":
+            data["n"] = 0
         else:
             data["quadrature_order"] = True
         with pytest.raises(ChainFormatError):

@@ -42,13 +42,15 @@ from ruminslice.algebra import Covector, all_blades, pair, wedge
 from ruminslice.currents import (
     _blade_pairings,
     _node_tangents,
-    _vertex_tangents,
+    _shift_rows,
+    _tangent,
+    _tangent_at,
     pair_forms_batch,
     sqrt_exact_or_float,
 )
 from ruminslice.formio import load_chain
 from ruminslice.forms import random_form
-from ruminslice.heis import Point
+from ruminslice.heis import Point, frame_change
 from ruminslice.quadrature import grundmann_moller, parameter_nodes, rule_for_degree
 from ruminslice.slicing import AffineFunction
 from test_slice_certificate import _residual_battery
@@ -240,6 +242,22 @@ def test_weighted_pairing_matches_the_weighted_oracle(size):
             assert value == oracle_pair_forms_batch(functional.chain, [omega], weight=weight)[0]
 
 
+def test_weighted_chain_keeps_no_piece_below_the_level():
+    # the ramp is 0 on {f <= t}: no piece is kept there, and the value is
+    # the weighted oracle's on the chain split along all three bands
+    mesh = cube_mesh(2)
+    weight = GammaWeight((3, 4, 0), 0, F(23, 7), F(1, 2))
+    functional = restrict_by_fn(mesh, weight)
+    low, high = weight.level_halfspaces()
+    assert all(any(low.value(v) > 0 for v in s.vertices) for s in functional.chain.simplices)
+    below = restrict_to_set(mesh, [low.complement()])
+    assert below.simplices
+    omega = constant_blade_forms(mesh.params, 3)[0]
+    value = functional.pair(omega)
+    assert value == F(55, 112)
+    assert value == oracle_pair_forms_batch(functional.chain + below, [omega], weight=weight)[0]
+
+
 # -- admissibility ----------------------------------------------------------
 
 
@@ -279,7 +297,7 @@ def test_pair_current_verdicts_match_node_tangents():
                 pair_current(T, c)
 
 
-# -- the interpolated tangent ----------------------------------------------
+# -- the affine tangent V(p) = E + L(p) ------------------------------------
 
 
 @st.composite
@@ -302,21 +320,28 @@ def simplex_and_rule(draw):
 @given(simplex_and_rule())
 def test_interpolated_tangent_equals_wedge_at_every_node(case):
     params, simplex, s = case
+    tangent = _tangent(params.n, simplex)
+
+    def evaluated(coords):
+        value = _tangent_at(tangent, coords)
+        assert all(c != 0 for c in value.values())
+        return MultiVector(params.dim, simplex.degree, value)
+
     wedged = [tangent_at(params, simplex, v) for v in simplex.vertices]
     assert simplex.degenerate() == wedged[0].is_zero()
-    assert [MultiVector(params.dim, simplex.degree, t)
-            for t in _vertex_tangents(params, simplex)] == wedged
-    # the constant blade pairings frame the coordinate k-vector at the centroid
+    assert [evaluated(v) for v in simplex.vertices] == wedged
+    # the constant blade pairings evaluate V at the centroid
     corners = simplex.degree + 1
     centroid = tuple(sum(axis) / corners for axis in zip(*simplex.vertices))
     volume = F(1, math.factorial(simplex.degree))
+    assert evaluated(centroid) == tangent_at(params, simplex, centroid)
     at_centroid = tangent_at(params, simplex, centroid).scale(volume)
     T = SimplicialCurrent(params, simplex.degree, [Simplex._trusted(simplex.vertices, F(1))])
     assert MultiVector(params.dim, simplex.degree, _blade_pairings(T)) == at_centroid
     rule = grundmann_moller(simplex.degree, s)
     degree = 2 * s + 1
     assert rule_for_degree(simplex.degree, degree) == rule
-    nodes = _node_tangents(simplex, _vertex_tangents(params, simplex), degree)
+    nodes = _node_tangents(simplex, tangent, degree)
     assert len(nodes) == len(rule)
     for (bary, weight), (coords, node_weight, tangent) in zip(rule, nodes):
         assert node_weight == weight
@@ -324,3 +349,34 @@ def test_interpolated_tangent_equals_wedge_at_every_node(case):
                                for axis in range(params.dim))
         expected = tangent_at(params, simplex, coords)
         assert MultiVector(params.dim, simplex.degree, tangent) == expected
+
+
+def test_constant_exactly_when_the_vertex_tangents_agree():
+    rng = random.Random(18)
+    chains = fixture_chains() + [boundary(cube_mesh(1)), random_chain(rng, 1, 2, 6)]
+    chains += [random_chain(rng, 2, degree, 6) for degree in range(1, 5)]
+    seen = set()
+    for T in chains:
+        for s in T.simplices:
+            _, linear, constant = _tangent(T.params.n, s)
+            wedged = [tangent_at(T.params, s, v) for v in s.vertices]
+            assert constant == all(w == wedged[0] for w in wedged)
+            if linear:
+                seen.add(constant)
+    # both verdicts occur where L is not empty, so the edge test was exercised
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shift_rows_match_frame_change(n):
+    rng = random.Random(n)
+    dim = 2 * n + 1
+    rows = _shift_rows(n)
+    assert len(rows) == 2 * n
+    for _ in range(20):
+        coords = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim))
+        point = Point.from_coords(coords)
+        for b, row in enumerate(rows):
+            unit = tuple(int(axis == b) for axis in range(dim))
+            shift = sum(c * coords[axis] for axis, c in row)
+            assert unit[:-1] + (shift,) == frame_change(point, unit)

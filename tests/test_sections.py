@@ -330,17 +330,16 @@ def test_sweep_cells_are_the_per_piece_numbers(coeffs, a, grid):
 @given(T=exact_chains(), coeffs=st.tuples(*(coefficient for _ in range(5))),
        u=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
        v=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100))
-def test_ramp_pre_split_is_the_three_bands(T, coeffs, u, v):
-    # restrict_by_fn splits each simplex by {f > t}, then its kept pieces
-    # by {f > t + h}: it holds the pieces of {f <= t}, {t < f <= t + h} and
-    # {f > t + h}, simplex by simplex, as restrict_to_set clips them
+def test_ramp_pre_split_is_the_bands_above_the_level(T, coeffs, u, v):
+    # restrict_by_fn keeps the pieces of {t < f <= t + h} and {f > t + h},
+    # simplex by simplex, as restrict_to_set clips them; the ramp is 0 on
+    # {f <= t}, so nothing is kept there
     f = function_for(T, coeffs[:T.params.dim])
     assume(len({f(p) for p in T.vertices()}) > 1)
     t, top = sorted((level_between(f, T, u), level_between(f, T, v)))
     assume(t < top and not {t, top} & {f(p) for p in T.vertices()})
     weight = GammaWeight(f.coeffs, f.const, t, top - t)
-    bands = ([f.halfspace(t, "<=")],
-             [f.halfspace(t, ">"), f.halfspace(top, "<=")],
+    bands = ([f.halfspace(t, ">"), f.halfspace(top, "<=")],
              [f.halfspace(t, ">"), f.halfspace(top, ">")])
     expected = []
     for s in T.simplices:
