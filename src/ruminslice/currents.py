@@ -23,13 +23,30 @@ T and adds shift_b(p) T to each coordinate vector e_b, where shift_b(p)
 is the T coefficient of frame_change(p, e_b), linear in p.  So a blade
 of E that holds T stays fixed, and any other blade B adds, for each
 index b in B, +-shift_b(p) E_B to B with b swapped for T: V(p) = E + L(p)
-with L linear in p.  Each simplex gets E and L once (see :func:`_tangent`),
-and V(p) = E + L(p) is evaluated at each point that needs it: the
-quadrature nodes, and the centroid for the constant blade pairings.  A
-batch of forms is paired through a per-simplex moment table (see
-:func:`pair_forms_batch`), one pass over the nodes for the whole batch.
-T restricted by a weight g (:func:`restrict_by_fn`) pairs through the
-same table, with g(p_q) multiplied into each node's weight.
+with L linear in p.
+
+The tangent kernel runs on integers (see :func:`_tangent`).  A simplex's
+vertices are scaled by d, the lcm of their coordinate denominators, and
+the shift coefficients by their common denominator A, so the edge minors
+(d^k E), the numerators of E and L over the one denominator A d^(k+1),
+and V at the vertices and at the sum of the vertices (k + 1 times the
+centroid) are ints.  A Fraction is made only where a value leaves the
+kernel: per blade and denominator for the constant blade pairings
+(int_S V_B ds = V_B(centroid) / k!), per blade at a quadrature node for
+the moment table, and per node for the mass.  V is affine and the
+barycentric weights lambda of a node sum to 1, so V there is
+sum lambda_i V(v_i) and
+
+    |V|^2 = lambda^T G lambda,   G_ij = <V(v_i), V(v_j)>,
+
+with G the integer Gram matrix of the vertex numerators and the rule's
+lambda as integers over one denominator (see
+:func:`ruminslice.quadrature._integer_rule`): the mass builds no node
+coordinates.  When L vanishes on every edge V is constant, and its norm
+is taken once.  A batch of forms is paired through a per-simplex moment
+table (see :func:`pair_forms_batch`), one pass over the nodes for the
+whole batch.  T restricted by a weight g (:func:`restrict_by_fn`) pairs
+through the same table, with g(p_q) multiplied into each node's weight.
 
 :func:`measure_of` is ``mass(restrict_to_set(T, planes))``, or for a
 predicate the mass quadrature over the nodes inside it.  A cut point
@@ -46,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,15 +79,36 @@ from .errors import (
 )
 from .forms import PolyForm
 from .heis import HeisParams, Point, frame_change
-from .quadrature import parameter_nodes, rule_for_degree
+from .quadrature import _integer_rule, parameter_nodes, rule_for_degree
 from .rumin import RuminClass, _ideal_columns, full_blades
 
 DEFAULT_QUADRATURE_DEGREE = 5
 
 
+def _integer_edges(simplex) -> tuple:
+    """(d, points, edges): the simplex scaled to integers.
+
+    d is the lcm of the coordinate denominators, ``points`` the vertices
+    times d and ``edges`` the edges of ``points``, all as ints.
+    """
+    vertices = simplex.vertices
+    d = math.lcm(*(c.denominator for v in vertices for c in v))
+    points = tuple(tuple(c.numerator * (d // c.denominator) for c in v) for v in vertices)
+    base = points[0]
+    return d, points, tuple(tuple(a - b for a, b in zip(p, base)) for p in points[1:])
+
+
+def _integer_minors(dim: int, edges) -> dict:
+    """{blade: k x k minor} of integer edges, without zeros: d^k times E."""
+    # the empty wedge is 1; wedge_vectors gives it as Fraction(1)
+    return wedge_vectors(dim, edges) if edges else {(): 1}
+
+
 def _edge_kvector(simplex) -> dict:
     """E = e_1 ^ ... ^ e_k of the simplex's edges, as {blade: minor}."""
-    return wedge_vectors(len(simplex.vertices[0]), simplex.edges())
+    d, points, edges = _integer_edges(simplex)
+    scale = d ** len(edges)
+    return {b: Fraction(m, scale) for b, m in _integer_minors(len(points[0]), edges).items()}
 
 
 @dataclass(frozen=True)
@@ -83,6 +122,8 @@ class Simplex:
         object.__setattr__(self, "vertices", tuple(
             tuple(exact(c, "vertex coordinate") for c in v) for v in self.vertices))
         object.__setattr__(self, "multiplicity", exact(self.multiplicity, "multiplicity"))
+        if not self.vertices:
+            raise ParameterError("a simplex needs at least one vertex")
         lengths = {len(v) for v in self.vertices}
         if len(lengths) != 1:
             raise ParameterError("simplex vertices of unequal dimension")
@@ -291,51 +332,81 @@ def _frame_moves(n: int, blade: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _shift_rows(n: int) -> tuple:
-    """shift_b(p) for each horizontal index b, as ((axis, coefficient), ...).
+    """(A, rows): shift_b(p) = sum c p_axis / A over ``rows[b]`` = ((axis, c), ...).
 
     shift_b(p) is the T coefficient of frame_change(p, e_b), linear in p,
-    so its coefficients are read once off frame_change at the unit points.
+    so its coefficients are read once off frame_change at the unit points
+    and kept as ints times their common denominator A.
     """
     dim = 2 * n + 1
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     points = [Point.from_coords(unit) for unit in units]
-    return tuple(
-        tuple((axis, c) for axis, point in enumerate(points)
-              if (c := frame_change(point, units[b])[-1]) != 0)
-        for b in range(2 * n))
+    rows = [[(axis, c) for axis, point in enumerate(points)
+             if (c := frame_change(point, units[b])[-1]) != 0]
+            for b in range(2 * n)]
+    common = math.lcm(*(c.denominator for row in rows for _, c in row))
+    return common, tuple(tuple((axis, c.numerator * (common // c.denominator)) for axis, c in row)
+                         for row in rows)
 
 
-def _tangent(n: int, simplex) -> tuple:
-    """(E, L, constant): the simplex's tangent V(p) = E + L(p).
+class _Tangent(NamedTuple):
+    """A simplex's tangent V(p) = E + L(p) on integers over one denominator.
 
-    E is :func:`_edge_kvector`; L maps each target blade of
-    :func:`_frame_moves` to {axis: coefficient}, so L(p)_B = sum c p_axis.
-    ``constant`` is true when L vanishes on every edge: V then takes one
-    value on the whole simplex.
+    With d the lcm of the vertex coordinate denominators and A that of the
+    shift coefficients, ``den`` = A d^(k+1): ``kvector`` holds den * E and
+    ``linear`` maps each target blade of :func:`_frame_moves` to
+    {axis: c}, so den * L(p)_B = sum c u_axis at the integer point u = d p.
+    ``points`` are the vertices times d.  ``constant`` is true when L
+    vanishes on every edge: V then takes one value on the whole simplex.
     """
-    kvector = _edge_kvector(simplex)
-    rows = _shift_rows(n)
+
+    kvector: dict
+    linear: dict
+    den: int
+    points: tuple
+    constant: bool
+
+
+def _tangent(n: int, simplex) -> _Tangent:
+    """The simplex's :class:`_Tangent`, from its integer edge minors."""
+    d, points, edges = _integer_edges(simplex)
+    minors = _integer_minors(len(points[0]), edges)
+    common, rows = _shift_rows(n)
+    scale = common * d
     linear = {}
-    for blade, c in kvector.items():
+    for blade, m in minors.items():
         for b, sign, target in _frame_moves(n, blade):
             row = linear.setdefault(target, {})
             for axis, a in rows[b]:
-                row[axis] = row.get(axis, 0) + sign * a * c
-    constant = not linear or not any(
-        sum(c * edge[axis] for axis, c in row.items())
-        for edge in simplex.edges() for row in linear.values())
-    return kvector, linear, constant
+                row[axis] = row.get(axis, 0) + sign * a * m
+    constant = not any(sum(c * edge[axis] for axis, c in row.items())
+                       for edge in edges for row in linear.values())
+    return _Tangent({b: scale * m for b, m in minors.items()}, linear,
+                    scale * d ** len(edges), points, constant)
 
 
-def _tangent_at(tangent, coords) -> dict:
-    """E + L(coords) of a :func:`_tangent`, as {blade: coefficient} without zeros."""
-    kvector, linear, _ = tangent
-    if not linear:
-        return kvector
-    out = dict(kvector)
-    for target, row in linear.items():
-        out[target] = out.get(target, 0) + sum(c * coords[axis] for axis, c in row.items())
-    return {b: c for b, c in out.items() if c != 0}
+def _numerators(tangent: _Tangent, point, weight: int = 1) -> dict:
+    """weight * den * V(p) at p = point / (weight d), for an integer
+    ``point``: {blade: int}, zeros kept, blades in one order for every point.
+
+    A vertex is its point with weight 1, and the centroid the sum of the
+    points with weight k + 1.
+    """
+    out = {b: weight * c for b, c in tangent.kvector.items()}
+    for target, row in tangent.linear.items():
+        out[target] = out.get(target, 0) + sum(c * point[axis] for axis, c in row.items())
+    return out
+
+
+def _vertex_numerators(tangent: _Tangent) -> tuple:
+    """(blades, rows): den * V at each vertex, as rows of ints in the order of ``blades``."""
+    values = [_numerators(tangent, point) for point in tangent.points]
+    return tuple(values[0]), [list(value.values()) for value in values]
+
+
+def _over(blades, numerators, den: int) -> dict:
+    """{blade: numerator / den} without zeros."""
+    return {b: Fraction(c, den) for b, c in zip(blades, numerators) if c}
 
 
 def sqrt_exact_or_float(value):
@@ -350,15 +421,39 @@ def sqrt_exact_or_float(value):
     return math.sqrt(float(value))
 
 
-def _node_tangents(simplex: Simplex, tangent, degree: int) -> list:
+def _root(square: int, den: int):
+    """sqrt(square) / den for ints, as :func:`sqrt_exact_or_float` gives it.
+
+    The denominator is a square, so the root is rational exactly when
+    ``square`` is a square; else int true division rounds square / den^2
+    correctly, as float() of the Fraction does.
+    """
+    root = math.isqrt(square)
+    if root * root == square:
+        return Fraction(root, den)
+    return math.sqrt(square / (den * den))
+
+
+def _node_tangents(simplex: Simplex, tangent: _Tangent, degree: int) -> list:
     """(coords, weight, V(coords)) at each node of the rule exact to
-    ``degree``, for the simplex's :func:`_tangent`."""
-    nodes = parameter_nodes(simplex.vertices, rule_for_degree(simplex.degree, degree))
-    return [(coords, weight, _tangent_at(tangent, coords)) for coords, weight in nodes]
+    ``degree``, for the simplex's :func:`_tangent`.
 
-
-def _tangent_norm(tangent):
-    return sqrt_exact_or_float(sum(c * c for c in tangent.values()))
+    V is affine, so at the node sum lambda_i v_i it is sum lambda_i V(v_i):
+    the integer rule (see :func:`ruminslice.quadrature._integer_rule`)
+    weights the vertex numerators, and each blade is one Fraction.
+    """
+    k = simplex.degree
+    nodes = parameter_nodes(simplex.vertices, rule_for_degree(k, degree))
+    blades, corners = _vertex_numerators(tangent)
+    if tangent.constant:
+        value = _over(blades, corners[0], tangent.den)
+        return [(coords, weight, value) for coords, weight in nodes]
+    common, rule = _integer_rule(k, degree)
+    den = common * tangent.den
+    columns = list(zip(*corners))
+    return [(coords, weight, _over(blades, [sum(map(mul, ell, column)) for column in columns],
+                                   den))
+            for (coords, weight), (ell, _) in zip(nodes, rule)]
 
 
 def _parameter_volume(degree: int) -> Fraction:
@@ -480,7 +575,8 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
 
     In the Low regime (degree <= n) every quadrature tangent must be
     admissible, otherwise the value would depend on the representative;
-    inadmissible tangents raise :class:`AdmissibilityError`.
+    inadmissible tangents raise :class:`AdmissibilityError`.  A constant
+    tangent is checked once per simplex.
     """
     if c.degree != T.degree:
         raise GradeMismatchError(T.degree, c.degree, "T(class)")
@@ -491,8 +587,10 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     if c.degree <= n:
         degree_hint = T.quadrature_degree + omega.max_coeff_degree()
         for index, s in enumerate(T.simplices):
-            for _, _, tangent in _node_tangents(s, _tangent(n, s), degree_hint):
-                if not is_admissible(MultiVector(T.params.dim, c.degree, tangent), n):
+            tangent = _tangent(n, s)
+            nodes = _node_tangents(s, tangent, degree_hint)
+            for _, _, value in nodes[:1] if tangent.constant else nodes:
+                if not is_admissible(MultiVector(T.params.dim, c.degree, value), n):
                     raise AdmissibilityError(
                         f"simplex {index} has an inadmissible tangent; "
                         "pairing with a quotient class is undefined"
@@ -505,16 +603,32 @@ def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
     return _mass_from_tangent(simplex, _tangent(params.n, simplex), quadrature_degree)
 
 
-def _mass_from_tangent(simplex: Simplex, tangent, quadrature_degree: int, region=None):
+def _mass_from_tangent(simplex: Simplex, tangent: _Tangent, quadrature_degree: int,
+                       region=None):
     """int_S |V(p)| ds for the simplex's :func:`_tangent`, or with a
-    ``region`` predicate the quadrature sum over the nodes inside it."""
-    if tangent[2] and region is None:
-        return (_tangent_norm(_tangent_at(tangent, simplex.vertices[0]))
-                * _parameter_volume(simplex.degree))
+    ``region`` predicate the quadrature sum over the nodes inside it.
+
+    V is affine and barycentric weights sum to 1, so at the node with
+    integer weights ell over D, den * D * V = sum ell_i N_i for the vertex
+    numerators N_i, and |V|^2 = ell^T G ell / (D den)^2 with G the Gram
+    matrix of the N_i.  Only a region needs the nodes' coordinates.
+    """
+    k = simplex.degree
+    if tangent.constant and region is None:
+        square = sum(c * c for c in _numerators(tangent, tangent.points[0]).values())
+        return _root(square, tangent.den) * _parameter_volume(k)
+    _, corners = _vertex_numerators(tangent)
+    gram = [[sum(map(mul, a, b)) for b in corners] for a in corners]
+    common, rule = _integer_rule(k, quadrature_degree)
+    if region is not None:
+        nodes = parameter_nodes(simplex.vertices, rule_for_degree(k, quadrature_degree))
+        rule = [node for node, (coords, _) in zip(rule, nodes)
+                if region(Point.from_coords(coords))]
+    den = common * tangent.den
     acc = Fraction(0)
-    for coords, weight, value in _node_tangents(simplex, tangent, quadrature_degree):
-        if region is None or region(Point.from_coords(coords)):
-            acc = acc + weight * _tangent_norm(value)
+    for ell, weight in rule:
+        square = sum(lam * sum(map(mul, row, ell)) for lam, row in zip(ell, gram))
+        acc = acc + weight * _root(square, den)
     return acc
 
 
@@ -530,17 +644,25 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
     """T(dw_B) for the constant blade forms dw_B, keyed by blade B.
 
     V_B is affine in the point, so int_S V_B ds = V_B(centroid) / k!,
-    exactly: one evaluation of V per simplex.  Blades absent from the
-    result pair to zero.
+    exactly: one evaluation of V per simplex, in ints at the sum of the
+    integer vertices.  The numerators are summed as ints per blade and
+    denominator, and each sum becomes one Fraction.  Blades absent from
+    the result pair to zero.
     """
     corners = T.degree + 1
-    volume = _parameter_volume(T.degree)
-    totals = {}
+    scale = math.factorial(T.degree) * corners
+    sums = {}
     for s in T.simplices:
-        centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
-        weight = s.multiplicity * volume
-        for b, c in _tangent_at(_tangent(T.params.n, s), centroid).items():
-            totals[b] = totals.get(b, 0) + weight * c
+        tangent = _tangent(T.params.n, s)
+        centroid = [sum(axis) for axis in zip(*tangent.points)]
+        mult = s.multiplicity
+        den = mult.denominator * scale * tangent.den
+        for b, c in _numerators(tangent, centroid, corners).items():
+            if c:
+                sums[b, den] = sums.get((b, den), 0) + mult.numerator * c
+    totals = {}
+    for (b, den), c in sums.items():
+        totals[b] = totals.get(b, 0) + Fraction(c, den)
     return totals
 
 
@@ -559,7 +681,7 @@ def _whole(T: SimplicialCurrent, index: int, whole: dict) -> tuple:
         s = T.simplices[index]
         tangent = _tangent(T.params.n, s)
         value = _mass_from_tangent(s, tangent, T.quadrature_degree)
-        scales = tangent[2] and isinstance(value, Fraction)
+        scales = tangent.constant and isinstance(value, Fraction)
         entry = whole[index] = (value, scales)
     return entry
 

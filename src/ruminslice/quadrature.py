@@ -11,13 +11,20 @@ Integrals here are parametric: for a simplex with vertices v_0..v_k,
 
 which equals the integral of F over the parameter domain
 {s in R^k : s_i >= 0, sum s_i <= 1} pulled back along the affine chart.
+
+The tangent kernel of :mod:`ruminslice.currents` scales a simplex to
+integers and never builds the nodes for a mass: it reads each rule as
+integer barycentric weights ell over one common denominator D (see
+:func:`_integer_rule`), so a node's squared tangent norm is the integer
+quadratic form ell^T G ell in the Gram matrix G of the vertex tangents,
+over (D * den)^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 
 def _compositions(total: int, parts: int):
@@ -54,6 +61,19 @@ def grundmann_moller(k: int, s: int) -> tuple:
 def rule_for_degree(k: int, degree: int) -> tuple:
     """Smallest Grundmann-Moller rule exact for the given total degree."""
     return grundmann_moller(k, max(0, degree // 2))
+
+
+@lru_cache(maxsize=None)
+def _integer_rule(k: int, degree: int) -> tuple:
+    """(D, ((ell, weight), ...)): :func:`rule_for_degree` with each
+    barycentric point as the integers ell = D * lambda, over the rule's one
+    common denominator D.  The points keep their order, and each ell sums
+    to D."""
+    rule = rule_for_degree(k, degree)
+    common = lcm(*(lam.denominator for point, _ in rule for lam in point))
+    return common, tuple(
+        (tuple(lam.numerator * (common // lam.denominator) for lam in point), weight)
+        for point, weight in rule)
 
 
 def parameter_nodes(vertices, rule):

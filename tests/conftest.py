@@ -157,6 +157,103 @@ def coordinate_slice(T, f, t, side):
     return chain, boundary_of_restricted - restricted_boundary
 
 
+# -- the Fraction tangent kernel, the oracle of the integer one ----------------
+
+
+def fraction_edge_kvector(simplex):
+    """E = e_1 ^ ... ^ e_k on the simplex's Fraction edges, as {blade: minor}."""
+    from ruminslice.algebra import wedge_vectors
+
+    return wedge_vectors(len(simplex.vertices[0]), simplex.edges())
+
+
+def fraction_tangent(n, simplex):
+    """(E, L, constant): V(p) = E + L(p) on Fractions.
+
+    L maps each target blade of the frame moves to {axis: coefficient},
+    with the shift coefficients read off ``frame_change`` at the unit
+    points as Fractions; ``constant`` is true when L vanishes on every
+    Fraction edge.
+    """
+    from ruminslice.currents import _frame_moves
+    from ruminslice.heis import Point, frame_change
+
+    dim = 2 * n + 1
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rows = [[(axis, c) for axis, unit in enumerate(units)
+             if (c := frame_change(Point.from_coords(unit), units[b])[-1]) != 0]
+            for b in range(2 * n)]
+    kvector = fraction_edge_kvector(simplex)
+    linear = {}
+    for blade, c in kvector.items():
+        for b, sign, target in _frame_moves(n, blade):
+            row = linear.setdefault(target, {})
+            for axis, a in rows[b]:
+                row[axis] = row.get(axis, 0) + sign * a * c
+    constant = not linear or not any(
+        sum(c * edge[axis] for axis, c in row.items())
+        for edge in simplex.edges() for row in linear.values())
+    return kvector, linear, constant
+
+
+def fraction_tangent_at(tangent, coords):
+    """E + L(coords) of a :func:`fraction_tangent`, without zeros."""
+    kvector, linear, _ = tangent
+    out = dict(kvector)
+    for target, row in linear.items():
+        out[target] = out.get(target, 0) + sum(c * coords[axis] for axis, c in row.items())
+    return {b: c for b, c in out.items() if c != 0}
+
+
+def fraction_blade_pairings(T):
+    """T(dw_B) per blade: V at the Fraction centroid, times mult / k!."""
+    from fractions import Fraction
+    from math import factorial
+
+    corners = T.degree + 1
+    volume = Fraction(1, factorial(T.degree))
+    totals = {}
+    for s in T.simplices:
+        centroid = tuple(sum(axis) / corners for axis in zip(*s.vertices))
+        weight = s.multiplicity * volume
+        for b, c in fraction_tangent_at(fraction_tangent(T.params.n, s), centroid).items():
+            totals[b] = totals.get(b, 0) + weight * c
+    return totals
+
+
+def fraction_mass(T, region=None):
+    """M(T), or the predicate measure, with every node built on Fractions.
+
+    A constant tangent gives |V(v_0)| / k!; otherwise the node coordinates
+    come from ``parameter_nodes`` and |E + L(p)| is rooted at each node,
+    in the rule's order.
+    """
+    from fractions import Fraction
+    from math import factorial
+
+    from ruminslice.currents import sqrt_exact_or_float
+    from ruminslice.heis import Point
+    from ruminslice.quadrature import parameter_nodes, rule_for_degree
+
+    def norm(value):
+        return sqrt_exact_or_float(sum(c * c for c in value.values()))
+
+    total = Fraction(0)
+    for s in T.simplices:
+        tangent = fraction_tangent(T.params.n, s)
+        if tangent[2] and region is None:
+            volume = Fraction(1, factorial(s.degree))
+            acc = norm(fraction_tangent_at(tangent, s.vertices[0])) * volume
+        else:
+            acc = Fraction(0)
+            rule = rule_for_degree(s.degree, T.quadrature_degree)
+            for coords, weight in parameter_nodes(s.vertices, rule):
+                if region is None or region(Point.from_coords(coords)):
+                    acc = acc + weight * norm(fraction_tangent_at(tangent, coords))
+        total = total + abs(s.multiplicity) * acc
+    return total
+
+
 # -- small helpers the library does not need ------------------------------------
 
 

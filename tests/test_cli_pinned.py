@@ -5,8 +5,10 @@ exit code and the exact stdout and stderr the CLI gave when the file was
 written.  The deterministic commands must keep giving them byte for
 byte, so a change to the slicing kernels that moves a digit, a vertex or
 a message fails here.  The cases cover both slice sides on the three
-fixtures (a horizontal, a mixed and a vertical f on the cube), three
-levels that hit a vertex (exit 2), a ``coarea`` sweep with rational
+fixtures (a horizontal, a mixed and a vertical f on the cube), two
+float slice masses on the cube (f = t, whose tangent varies, and
+x1 + 2y1, whose constant norm is sqrt(5)), three levels that hit a
+vertex (exit 2), a ``coarea`` sweep with rational
 norms, one with irrational norms and the grid-3 sweep that prints
 ``[FAIL]`` (exit 1), and ``report`` on each fixture.  Fixture paths are
 relative to the repository root, where the tests run them.

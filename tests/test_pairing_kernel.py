@@ -42,9 +42,9 @@ from ruminslice.algebra import Covector, all_blades, pair, wedge
 from ruminslice.currents import (
     _blade_pairings,
     _node_tangents,
+    _numerators,
     _shift_rows,
     _tangent,
-    _tangent_at,
     pair_forms_batch,
     sqrt_exact_or_float,
 )
@@ -322,19 +322,21 @@ def test_interpolated_tangent_equals_wedge_at_every_node(case):
     params, simplex, s = case
     tangent = _tangent(params.n, simplex)
 
-    def evaluated(coords):
-        value = _tangent_at(tangent, coords)
-        assert all(c != 0 for c in value.values())
+    def evaluated(point, weight=1):
+        # V at point / (weight * d), from the integer numerators over den
+        value = {b: F(c, weight * tangent.den)
+                 for b, c in _numerators(tangent, point, weight).items() if c}
         return MultiVector(params.dim, simplex.degree, value)
 
     wedged = [tangent_at(params, simplex, v) for v in simplex.vertices]
     assert simplex.degenerate() == wedged[0].is_zero()
-    assert [evaluated(v) for v in simplex.vertices] == wedged
+    assert [evaluated(p) for p in tangent.points] == wedged
     # the constant blade pairings evaluate V at the centroid
     corners = simplex.degree + 1
     centroid = tuple(sum(axis) / corners for axis in zip(*simplex.vertices))
     volume = F(1, math.factorial(simplex.degree))
-    assert evaluated(centroid) == tangent_at(params, simplex, centroid)
+    integer_centroid = [sum(axis) for axis in zip(*tangent.points)]
+    assert evaluated(integer_centroid, corners) == tangent_at(params, simplex, centroid)
     at_centroid = tangent_at(params, simplex, centroid).scale(volume)
     T = SimplicialCurrent(params, simplex.degree, [Simplex._trusted(simplex.vertices, F(1))])
     assert MultiVector(params.dim, simplex.degree, _blade_pairings(T)) == at_centroid
@@ -348,6 +350,7 @@ def test_interpolated_tangent_equals_wedge_at_every_node(case):
         assert coords == tuple(sum(lam * v[axis] for lam, v in zip(bary, simplex.vertices))
                                for axis in range(params.dim))
         expected = tangent_at(params, simplex, coords)
+        assert all(c != 0 for c in tangent.values())
         assert MultiVector(params.dim, simplex.degree, tangent) == expected
 
 
@@ -358,11 +361,11 @@ def test_constant_exactly_when_the_vertex_tangents_agree():
     seen = set()
     for T in chains:
         for s in T.simplices:
-            _, linear, constant = _tangent(T.params.n, s)
+            tangent = _tangent(T.params.n, s)
             wedged = [tangent_at(T.params, s, v) for v in s.vertices]
-            assert constant == all(w == wedged[0] for w in wedged)
-            if linear:
-                seen.add(constant)
+            assert tangent.constant == all(w == wedged[0] for w in wedged)
+            if tangent.linear:
+                seen.add(tangent.constant)
     # both verdicts occur where L is not empty, so the edge test was exercised
     assert seen == {True, False}
 
@@ -371,12 +374,13 @@ def test_constant_exactly_when_the_vertex_tangents_agree():
 def test_shift_rows_match_frame_change(n):
     rng = random.Random(n)
     dim = 2 * n + 1
-    rows = _shift_rows(n)
+    common, rows = _shift_rows(n)
     assert len(rows) == 2 * n
+    assert all(isinstance(c, int) for row in rows for _, c in row)
     for _ in range(20):
         coords = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim))
         point = Point.from_coords(coords)
         for b, row in enumerate(rows):
             unit = tuple(int(axis == b) for axis in range(dim))
-            shift = sum(c * coords[axis] for axis, c in row)
+            shift = sum(c * coords[axis] for axis, c in row) / common
             assert unit[:-1] + (shift,) == frame_change(point, unit)
