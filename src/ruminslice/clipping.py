@@ -8,8 +8,9 @@ smallest, which makes the induced subdivision of any shared face
 identical on both sides; combinatorial boundary cancellation therefore
 survives clipping.
 
-The caller passes the value a . p - c of each input vertex, and the
-split carries it down the recursion; a cut point's value is exactly 0.
+The caller passes the value a . p - c of each input vertex, or a value
+of the same sign, and the split carries it down the recursion; a cut
+point's value is exactly 0.
 :meth:`HalfSpace.sides` is the one rule that turns values into sides.
 
 The kernel works on vertex labels: coordinate tuples, or integer
@@ -116,8 +117,10 @@ def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, cut=_cut_point):
     vertices off the plane end a crossing edge, so any such labelling
     splits the same edges in the same order.
 
-    ``values`` are the simplex's :meth:`HalfSpace.value` and are carried
-    to each piece.
+    ``values`` are the simplex's :meth:`HalfSpace.value`, or any values
+    with the same signs that ``cut`` reads (a slice passes ints, see
+    :meth:`ruminslice.slicing._Values.signs`), and are carried to each
+    piece.
     """
     want_positive = halfspace.keeps_positive()
     kept, dropped = [], []

@@ -57,6 +57,14 @@ and :func:`boundary` intern their vertices, hashing each once and
 sorting the distinct ones once, so id order is coordinate order, and
 fold orientation signs on id tuples; slices merge their sections and
 their formula the same way.  No coordinate tuple is sorted per simplex.
+
+A chain keeps what depends on its simplices alone in a table built on
+first use (:class:`_Table`): the interned vertices, which
+:func:`boundary` and the slices read, the vertices on ints, one tangent
+per simplex, which :func:`mass`, the blade pairings and
+:func:`pair_current` share, and the whole masses per quadrature degree.
+``canonical()`` interns afresh, so the slice certificate's idempotence
+check does not read the table it checks.
 """
 
 from __future__ import annotations
@@ -163,7 +171,8 @@ class Simplex:
 class SimplicialCurrent:
     """A finite chain of equal-degree simplices over H^n."""
 
-    __slots__ = ("params", "degree", "simplices", "quadrature_degree")
+    # ``_table`` (see :class:`_Table`) is left unset here and built on first use
+    __slots__ = ("params", "degree", "simplices", "quadrature_degree", "_table")
 
     def __init__(self, params: HeisParams, degree: int, simplices,
                  quadrature_degree: int = DEFAULT_QUADRATURE_DEGREE):
@@ -309,6 +318,70 @@ def _from_cells(points, cells) -> list:
             for cell in cells]
 
 
+# -- the chain table ----------------------------------------------------------
+
+
+class _Table:
+    """What a chain's routines derive from its simplices alone.
+
+    A chain builds its table on first use and keeps it in its ``_table``
+    slot; the table is keyed to the ``simplices`` tuple it was built from,
+    and :func:`_table` builds a fresh one when that tuple is rebound.
+    Each part is built on first use too:
+
+    - ``ids``: the interned vertices and cells, as :func:`_intern` gives
+      them (see :func:`_interned`);
+    - ``ints``: each vertex as (integer numerators, denominator) over the
+      lcm of its own coordinate denominators (see :func:`_integer_points`);
+    - ``functions``: per tuple of affine coefficients, what
+      :mod:`ruminslice.slicing` reads off f at the vertices;
+    - ``tangents``: each simplex's :class:`_Tangent` (see :func:`_tangent_of`);
+    - ``masses``: per quadrature degree, each simplex's whole mass (see
+      :func:`_whole`).
+    """
+
+    __slots__ = ("simplices", "ids", "ints", "functions", "tangents", "masses")
+
+    def __init__(self, simplices: tuple):
+        self.simplices = simplices
+        self.ids = None
+        self.ints = None
+        self.functions = {}
+        self.tangents = [None] * len(simplices)
+        self.masses = {}
+
+
+def _table(T: "SimplicialCurrent") -> _Table:
+    """T's table, built afresh when T has none or its simplices were rebound."""
+    table = getattr(T, "_table", None)
+    if table is None or table.simplices is not T.simplices:
+        table = T._table = _Table(T.simplices)
+    return table
+
+
+def _interned(T: "SimplicialCurrent") -> tuple:
+    """(points, cells) of T, interned once per table (see :func:`_intern`)."""
+    table = _table(T)
+    if table.ids is None:
+        table.ids = _intern(T.simplices)
+    return table.ids
+
+
+def _integer_point(point: tuple) -> tuple:
+    """(numerators, den): ``point`` as ints over the lcm of its coordinate
+    denominators, the reduced homogeneous form of the point."""
+    den = math.lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (den // c.denominator) for c in point), den
+
+
+def _integer_points(T: "SimplicialCurrent") -> list:
+    """:func:`_integer_point` of each interned vertex of T, in id order."""
+    table = _table(T)
+    if table.ints is None:
+        table.ints = [_integer_point(p) for p in _interned(T)[0]]
+    return table.ints
+
+
 # -- tangents ---------------------------------------------------------------
 
 
@@ -383,6 +456,15 @@ def _tangent(n: int, simplex) -> _Tangent:
                        for edge in edges for row in linear.values())
     return _Tangent({b: scale * m for b, m in minors.items()}, linear,
                     scale * d ** len(edges), points, constant)
+
+
+def _tangent_of(T: "SimplicialCurrent", index: int) -> _Tangent:
+    """The :func:`_tangent` of simplex ``index`` of T, built once per table."""
+    tangents = _table(T).tangents
+    tangent = tangents[index]
+    if tangent is None:
+        tangent = tangents[index] = _tangent(T.params.n, T.simplices[index])
+    return tangent
 
 
 def _numerators(tangent: _Tangent, point, weight: int = 1) -> dict:
@@ -519,9 +601,9 @@ def _pair_batch(T: SimplicialCurrent, forms: list, degree: int, weight) -> list:
     exponents = {expo for _, expo in keys}
     top = [max((e[axis] for e in exponents), default=0) for axis in range(T.params.dim)]
     totals = [Fraction(0)] * len(forms)
-    for s in T.simplices:
+    for index, s in enumerate(T.simplices):
         moments = dict.fromkeys(keys, 0)
-        for coords, node_weight, tangent in _node_tangents(s, _tangent(T.params.n, s), degree):
+        for coords, node_weight, tangent in _node_tangents(s, _tangent_of(T, index), degree):
             if weight is not None:
                 node_weight = node_weight * weight(Point.from_coords(coords))
                 if node_weight == 0:
@@ -576,7 +658,8 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     In the Low regime (degree <= n) every quadrature tangent must be
     admissible, otherwise the value would depend on the representative;
     inadmissible tangents raise :class:`AdmissibilityError`.  A constant
-    tangent is checked once per simplex.
+    tangent is checked once per simplex, at its first vertex.  The check
+    and the pairing read the tangents off T's table.
     """
     if c.degree != T.degree:
         raise GradeMismatchError(T.degree, c.degree, "T(class)")
@@ -587,9 +670,13 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
     if c.degree <= n:
         degree_hint = T.quadrature_degree + omega.max_coeff_degree()
         for index, s in enumerate(T.simplices):
-            tangent = _tangent(n, s)
-            nodes = _node_tangents(s, tangent, degree_hint)
-            for _, _, value in nodes[:1] if tangent.constant else nodes:
+            tangent = _tangent_of(T, index)
+            if tangent.constant:
+                first = _numerators(tangent, tangent.points[0])
+                values = [_over(first, first.values(), tangent.den)]
+            else:
+                values = [value for _, _, value in _node_tangents(s, tangent, degree_hint)]
+            for value in values:
                 if not is_admissible(MultiVector(T.params.dim, c.degree, value), n):
                     raise AdmissibilityError(
                         f"simplex {index} has an inadmissible tangent; "
@@ -633,10 +720,13 @@ def _mass_from_tangent(simplex: Simplex, tangent: _Tangent, quadrature_degree: i
 
 
 def mass(T: SimplicialCurrent):
-    """M(T): total measure; exact Fraction when every root closes in Q."""
+    """M(T): total measure; exact Fraction when every root closes in Q.
+
+    The simplices' masses are the whole masses of T's table (see :func:`_whole`).
+    """
     total = Fraction(0)
-    for s in T.simplices:
-        total = total + abs(s.multiplicity) * _simplex_mass(T.params, s, T.quadrature_degree)
+    for index, s in enumerate(T.simplices):
+        total = total + abs(s.multiplicity) * _whole(T, index)[0]
     return total
 
 
@@ -652,8 +742,8 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
     corners = T.degree + 1
     scale = math.factorial(T.degree) * corners
     sums = {}
-    for s in T.simplices:
-        tangent = _tangent(T.params.n, s)
+    for index, s in enumerate(T.simplices):
+        tangent = _tangent_of(T, index)
         centroid = [sum(axis) for axis in zip(*tangent.points)]
         mult = s.multiplicity
         den = mult.denominator * scale * tangent.den
@@ -669,20 +759,24 @@ def _blade_pairings(T: SimplicialCurrent) -> dict:
 # -- clipping ---------------------------------------------------------------
 
 
-def _whole(T: SimplicialCurrent, index: int, whole: dict) -> tuple:
-    """(whole mass, scales) of simplex ``index``, cached in ``whole``.
+def _whole(T: SimplicialCurrent, index: int) -> tuple:
+    """(whole mass, scales) of simplex ``index`` of T.
 
     ``scales`` is true when the tangent is constant and its norm
     rational: a part's mass is then the whole mass times the part's
     share of the parameter volume, the Fraction its own minors give.
+    The entries live in T's table under T's quadrature degree, so
+    :func:`mass`, every sweep, band and window measure of T and the
+    property report share them across calls, and a change of
+    ``quadrature_degree`` reads (and fills) another set.
     """
-    entry = whole.get(index)
+    masses = _table(T).masses.setdefault(T.quadrature_degree, {})
+    entry = masses.get(index)
     if entry is None:
         s = T.simplices[index]
-        tangent = _tangent(T.params.n, s)
+        tangent = _tangent_of(T, index)
         value = _mass_from_tangent(s, tangent, T.quadrature_degree)
-        scales = tangent.constant and isinstance(value, Fraction)
-        entry = whole[index] = (value, scales)
+        entry = masses[index] = (value, tangent.constant and isinstance(value, Fraction))
     return entry
 
 
@@ -723,9 +817,9 @@ def measure_of(T: SimplicialCurrent, region):
     """
     if callable(region):
         total = Fraction(0)
-        for s in T.simplices:
+        for index, s in enumerate(T.simplices):
             total = total + abs(s.multiplicity) * _mass_from_tangent(
-                s, _tangent(T.params.n, s), T.quadrature_degree, region)
+                s, _tangent_of(T, index), T.quadrature_degree, region)
         return total
     return mass(restrict_to_set(T, region))
 
@@ -734,11 +828,12 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     """Combinatorial boundary with alternating-sign faces, canonicalized.
 
     Internal faces of a closed mesh cancel exactly in the canonical form.
-    The faces are merged on interned vertex ids, as in ``canonical()``.
+    The faces are merged on the interned vertex ids of T's table, as
+    ``canonical()`` merges on ids.
     """
     if T.degree < 1:
         raise ParameterError("boundary of a 0-chain is not defined")
-    points, cells = _intern(T.simplices)
+    points, cells = _interned(T)
     return SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, _merge(_faces(cells))),
                              T.quadrature_degree)
 

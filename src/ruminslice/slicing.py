@@ -27,29 +27,38 @@ vertex i gives its face opposite i, with the formula's multiplicity
 one merge folds the faces.  A slice costs in the simplices it cuts, not
 in the size of T.
 
-f meets the vertices of T in one table, :class:`_Values`: once per
-vertex, with each simplex's range of f kept with it.  A coarea sweep
-shares the table across all its levels and cells, and the property
-report shares one table for T and one for dT across all its slices; its
-atom levels (P0) and default sweep span (P5) are read off the table.
-A level-window measure takes a simplex S it cuts as M(S) (F(hi) - F(lo))
-in closed form where S's mass scales with parameter volume (see
-:func:`_level_share`), and clips the others.
+f meets the vertices of T on ints, through T's chain table (see
+:class:`ruminslice.currents._Table`), which T builds on first use and
+keeps: its interned vertices, each vertex as integer numerators over
+the lcm of its own coordinate denominators, and per tuple of
+coefficients f scaled to integers with its integer value at every
+vertex, their order, and each simplex's least and greatest vertex
+(:class:`_Dots`).  :class:`_Values` is a view on that table, so every
+slice, sweep, window measure and report of T shares it, across calls as
+well as within one.  A level t = p/q gives each vertex the int
+dot q - p scale den, which has the sign of f(v) - t: the generic-level
+refusal and the crossing test read these ints.  A level-window measure
+places each vertex among the window's levels on ints, takes a simplex S
+it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
+with parameter volume (see :func:`_level_share`, on ints), and clips
+the others; the whole masses M(S) are kept in the table too.
 
 A slice clips, merges and cancels on integer vertex ids, not on
 coordinate tuples.  The chain's vertices, sorted once, are numbered in
 that order, so id order is coordinate order and the clip splits the
 same edges as it does on coordinates.  A cut point is computed once per
-crossing edge, memoised under the edge's end ids, and deduplicated by
-its coordinates, so equal ids mean equal points even where two edges
-meet the level at one point.  The cut points are ranked by one sort of
-their coordinates, and coordinates are assembled once, for the merged
-chain that survives.
+crossing edge, memoised under the edge's end ids, as a reduced
+homogeneous integer point (numerators over a positive denominator, see
+:func:`_integer_cut`), and deduplicated on that pair, so equal ids mean
+equal points even where two edges meet the level at one point.
+Fractions are made only for the cut points the merged sections use,
+which one sort of their coordinates ranks, and, in a certified slice,
+for the formula chain.
 
 Every slice, certified or not, checks the two tables it holds: every
 vertex of a section is a cut point, not a vertex of T, and every cut
-point is on the level (its half-space value is 0), once per point.
-Either failure raises :class:`InternalInvariantError`.
+point is on the level (coeffs . n q = p scale den on ints), once per
+point.  Either failure raises :class:`InternalInvariantError`.
 
 A certified slice also builds the formula, from the same clip pieces
 and on the same ids, as the witness of the cancellation.  It checks
@@ -60,7 +69,8 @@ raises :class:`InternalInvariantError`.  Pairing is linear in simplices
 and alternating in vertex order, and every blade coefficient of the
 tangent is affine in the point, so a k-simplex pairs with dw_B as
 mult * V_B(centroid) / k!: one framing of the simplex's coordinate
-k-vector per simplex of either chain.  The pairings see coordinates, so
+k-vector per simplex of either chain, kept in that chain's table, where
+the slice's mass reads it again.  The pairings see coordinates, so
 they catch a merge that is wrong in the same way on both sides; the
 residual is exactly 0.0 whenever the cancellation holds.
 
@@ -74,9 +84,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 from . import linalg
-from .clipping import HalfSpace, _cut_point, _split, exact
+from .clipping import HalfSpace, _split, exact
 from .currents import (
     SimplicialCurrent,
     _blade_pairings,
@@ -84,10 +96,12 @@ from .currents import (
     _check_coeffs,
     _faces,
     _from_cells,
-    _intern,
+    _integer_points,
+    _interned,
     _merge,
     _ranked,
     _simplex_mass,
+    _table,
     _whole,
     boundary,
     gamma_h_eval,  # re-exported: the ramp lives with GammaWeight
@@ -193,64 +207,151 @@ class SliceResult:
     middle_dimension: bool
 
 
-class _Values:
-    """coeffs . v at the vertices of a chain, computed once per (chain, f).
+class _Dots(NamedTuple):
+    """f at the vertices of a chain on ints, for one tuple of coefficients.
 
-    ``points`` are the chain's vertices in lexicographic order, and a
-    vertex's index there is its id, so id order is coordinate order.
-    ``dot`` holds coeffs . v per id: a level's half-space value at v is
-    this minus the half-space constant, the same arithmetic as
-    :meth:`HalfSpace.value`, and f(v) is this plus f.const.  ``cells``
-    holds each simplex as a cell on vertex ids, ``dots`` its values in
-    vertex order, and ``ranges`` the (min, max) of its ``dots``.
+    f's coefficients are ``coeffs`` (ints) over ``scale``, and a vertex v
+    is its numerators over ``dens[v]`` (see
+    :func:`ruminslice.currents._integer_points`), so coeffs . v =
+    ``dots[v]`` / (scale * dens[v]).  ``rank`` numbers the distinct
+    values of coeffs . v in ascending order, equal values alike, and
+    ``low`` and ``high`` hold, per cell, a vertex id where the cell's
+    value is least and one where it is greatest.
     """
 
-    __slots__ = ("points", "dot", "cells", "dots", "ranges")
+    scale: int
+    coeffs: tuple
+    dots: list
+    dens: list
+    rank: list
+    low: list
+    high: list
+
+
+def _dots(T: SimplicialCurrent, coeffs: tuple) -> _Dots:
+    """T's :class:`_Dots` for ``coeffs``, built once per chain table."""
+    functions = _table(T).functions
+    entry = functions.get(coeffs)
+    if entry is None:
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+        points = _integer_points(T)
+        dots = [sum(map(mul, ints, nums)) for nums, _ in points]
+        dens = [den for _, den in points]
+        values = [Fraction(dot, den) for dot, den in zip(dots, dens)]
+        order = sorted(range(len(values)), key=values.__getitem__)
+        rank = [0] * len(values)
+        for previous, i in zip(order, order[1:]):
+            rank[i] = rank[previous] + (values[i] != values[previous])
+        cells = _interned(T)[1]
+        entry = functions[coeffs] = _Dots(
+            scale, ints, dots, dens, rank,
+            [min(cell.vertices, key=rank.__getitem__) for cell in cells],
+            [max(cell.vertices, key=rank.__getitem__) for cell in cells])
+    return entry
+
+
+class _Values:
+    """f at the vertices of a chain: a view on the chain's table.
+
+    ``points`` and ``cells`` are the chain's interned vertices (id order
+    is coordinate order) and its simplices on ids, ``ints`` the vertices
+    as integer numerators over their own denominators, and ``f`` the
+    chain's :class:`_Dots` for f's coefficients.  All of them are built
+    once per chain (and per coefficient tuple) and shared by every
+    slice, sweep, window measure and report of the chain.
+    """
+
+    __slots__ = ("points", "cells", "ints", "f")
 
     def __init__(self, T: SimplicialCurrent, f: AffineFunction):
         _check_coeffs(T, f.coeffs)
-        self.points, self.cells = _intern(T.simplices)
-        self.dot = [sum(a * b for a, b in zip(f.coeffs, v)) for v in self.points]
-        self.dots = [tuple(self.dot[i] for i in cell.vertices) for cell in self.cells]
-        self.ranges = [(min(d), max(d)) for d in self.dots]
+        self.points, self.cells = _interned(T)
+        self.ints = _integer_points(T)
+        self.f = _dots(T, f.coeffs)
+
+    def signs(self, level: Fraction) -> list:
+        """Per vertex id, an int with the sign of coeffs . v - ``level``.
+
+        With ``level`` = p/q it is dots[v] q - p scale dens[v], which is
+        (coeffs . v - level) times the positive scale dens[v] q.
+        """
+        f = self.f
+        q, shift = level.denominator, level.numerator * f.scale
+        return [dot * q - shift * den for dot, den in zip(f.dots, f.dens)]
+
+    def value(self, vertex: int) -> Fraction:
+        """coeffs . v at vertex id ``vertex``."""
+        f = self.f
+        return Fraction(f.dots[vertex], f.scale * f.dens[vertex])
+
+
+def _integer_cut(a: tuple, b: tuple, va: int, vb: int) -> tuple:
+    """The point where the level meets the edge from ``a`` to ``b``.
+
+    ``a`` and ``b`` are (numerators, den) pairs and ``va``, ``vb`` their
+    :meth:`_Values.signs` values, of opposite signs.  Each value is the
+    half-space value times den * (a positive factor shared by both ends),
+    so the cut is (vb n_a - va n_b) / (vb d_a - va d_b), returned reduced
+    with a positive denominator: equal points give equal pairs.
+    """
+    (na, da), (nb, db) = a, b
+    nums = [vb * x - va * y for x, y in zip(na, nb)]
+    den = vb * da - va * db
+    common = math.gcd(den, *nums)
+    if den < 0:
+        common = -common
+    return tuple(x // common for x in nums), den // common
 
 
 class _CutPoints:
     """The point table of one slice: the chain's vertices, then cut points.
 
     Called as the ``cut`` of :func:`ruminslice.clipping._split` on vertex
-    ids.  A cut point is computed once per crossing edge, memoised under
-    the edge's sorted end ids, and takes the id of an equal cut point
-    when two edges meet the level at the same point, so equal ids mean
-    equal points.
+    ids.  A cut point is computed once per crossing edge, on ints (see
+    :func:`_integer_cut`), memoised under the edge's sorted end ids, and
+    takes the id of an equal cut point when two edges meet the level at
+    the same point, so equal ids mean equal points.  Indexing the table
+    gives a point's Fraction coordinates, made once per cut point.
     """
 
-    __slots__ = ("points", "first", "edges", "by_point")
+    __slots__ = ("points", "ints", "first", "edges", "by_point", "made")
 
-    def __init__(self, vertices: list):
-        self.points = list(vertices)
-        self.first = len(self.points)
+    def __init__(self, points: list, ints: list):
+        self.points = points
+        self.ints = list(ints)
+        self.first = len(self.ints)
         self.edges = {}
         self.by_point = {}
+        self.made = {}
 
     def __call__(self, a: int, b: int, va, vb) -> int:
         key = (a, b) if a < b else (b, a)
         label = self.edges.get(key)
         if label is None:
-            point = _cut_point(self.points[a], self.points[b], va, vb)
-            label = self.edges[key] = self.by_point.setdefault(point, len(self.points))
-            if label == len(self.points):
-                self.points.append(point)
+            point = _integer_cut(self.ints[a], self.ints[b], va, vb)
+            label = self.edges[key] = self.by_point.setdefault(point, len(self.ints))
+            if label == len(self.ints):
+                self.ints.append(point)
         return label
 
+    def __getitem__(self, label: int) -> tuple:
+        if label < self.first:
+            return self.points[label]
+        point = self.made.get(label)
+        if point is None:
+            nums, den = self.ints[label]
+            point = self.made[label] = tuple(Fraction(x, den) for x in nums)
+        return point
 
-def _check_generic_level(values: _Values, f: AffineFunction, t):
-    for v, dot in zip(values.points, values.dot):
-        if dot + f.const == t:
-            shown = "(" + ", ".join(str(c) for c in v) + ")"
-            raise DegenerateLevelError(
-                f"level {t} hits the vertex {shown}; slice at a nearby generic level instead"
-            )
+
+def _check_generic_level(values: _Values, signs: list, t):
+    if 0 in signs:
+        v = values.points[signs.index(0)]
+        shown = "(" + ", ".join(str(c) for c in v) + ")"
+        raise DegenerateLevelError(
+            f"level {t} hits the vertex {shown}; slice at a nearby generic level instead"
+        )
 
 
 def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
@@ -259,28 +360,33 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         raise ParameterError("cannot slice a 0-chain")
     if values is None:
         values = _Values(T, f)
-    _check_generic_level(values, f, t)
     plus = side == "+"
     hs = f.halfspace(t, ">" if plus else "<")
     level = hs.const
-    cuts = _CutPoints(values.points)
+    signs = values.signs(level)
+    _check_generic_level(values, signs, t)
+    cuts = _CutPoints(values.points, values.ints)
     # a generic level misses every vertex, so it meets exactly the
     # simplices with vertices on both sides of it
     crossing = []
-    for cell, dots, (least, most) in zip(values.cells, values.dots, values.ranges):
-        if least < level < most:
-            shifted = tuple(d - level for d in dots)
+    for cell, low, high in zip(values.cells, values.f.low, values.f.high):
+        if signs[low] < 0 < signs[high]:
+            shifted = tuple(signs[i] for i in cell.vertices)
             crossing.append((cell, shifted, _split(cell.vertices, hs, shifted, cut=cuts)[0]))
     sections = _merge(_sections(crossing, plus))
     # every vertex of a section is a cut point, and every cut point is on
-    # the level: rank the cut points alone
+    # the level: coeffs . (n / d) = p / q, on ints
     first = cuts.first
     if any(i < first for cell in sections for i in cell.vertices):
         raise InternalInvariantError("a section has a vertex of T, not a cut point")
-    if any(hs.value(p) != 0 for p in cuts.points[first:]):
+    coeffs, q, shift = values.f.coeffs, level.denominator, level.numerator * values.f.scale
+    if any(sum(map(mul, coeffs, nums)) * q != shift * den for nums, den in cuts.ints[first:]):
         raise InternalInvariantError("a cut point is off the level")
-    points, rank = _ranked(cuts.points[first:])
-    ranked = _merge(_Cell(tuple(rank[i - first] for i in cell.vertices), cell.multiplicity)
+    # rank the cut points the merged sections use
+    used = sorted({i for cell in sections for i in cell.vertices})
+    points, rank = _ranked([cuts[i] for i in used])
+    place = dict(zip(used, rank))
+    ranked = _merge(_Cell(tuple(place[i] for i in cell.vertices), cell.multiplicity)
                     for cell in sections)
     chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
                               T.quadrature_degree)
@@ -291,7 +397,7 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
             raise InternalInvariantError("canonical() is not idempotent on the slice chain")
         if _merge(formal) != sections:
             raise InternalInvariantError("the sections differ from the canonical formula chain")
-        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts.points, formal)))
+        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts, formal)))
         if residual != 0.0:
             # both checks above merge on ids; the pairings see coordinates
             raise InternalInvariantError(
@@ -392,10 +498,10 @@ def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
     """mu_T({lo < f < hi}), exactly."""
     lo, hi = exact(lo, "level"), exact(hi, "level")
-    return _window_measures(T, f, [lo, hi], _Values(T, f), {})[0] if lo < hi else Fraction(0)
+    return _window_measures(T, f, [lo, hi], _Values(T, f))[0] if lo < hi else Fraction(0)
 
 
-def _level_share(t, knots):
+def _level_share(q: int, knots: list):
     """The share F(t) of a simplex's parameter volume where f < t.
 
     F is the cumulative of the simplex spline on the sorted ``knots``
@@ -403,49 +509,63 @@ def _level_share(t, knots):
     triangle F(t; f_i..f_j) = [(t - f_i) F(t; f_i..f_(j-1)) + (f_j - t)
     F(t; f_(i+1)..f_j)] / (f_j - f_i), 0 for t <= f_i and 1 for t >= f_j
     (so a run of equal knots is a step).  Scaling t and the knots alike
-    leaves F as it is, so the triangle runs on integer pairs (num, den).
+    leaves F as it is, so ``q`` and ``knots`` are t and the f_i as ints
+    over one denominator, and the triangle runs on integer pairs (num, den).
     """
-    if not knots[0] < t < knots[-1]:
-        return int(t > knots[0])
-    scale = math.lcm(t.denominator, *(knot.denominator for knot in knots))
-    q = t.numerator * (scale // t.denominator)
-    points = [knot.numerator * (scale // knot.denominator) for knot in knots]
-    row = [(int(q > p), 1) for p in points]
-    for span in range(1, len(points)):
+    if not knots[0] < q < knots[-1]:
+        return int(q > knots[0])
+    row = [(int(q > p), 1) for p in knots]
+    for span in range(1, len(knots)):
         row = [(0, 1) if q <= low else (1, 1) if q >= high
                else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
-               for low, high, (na, da), (nb, db) in zip(points, points[span:], row, row[1:])]
+               for low, high, (na, da), (nb, db) in zip(knots, knots[span:], row, row[1:])]
     return Fraction(*row[0])
 
 
-def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Values,
-                     whole: dict) -> list:
+def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Values) -> list:
     """mu_T({e_i < f < e_(i+1)}) for each pair of consecutive ascending ``edges``.
 
     A simplex adds its whole mass to a window it lies in.  In a window it
     crosses, it adds M(S) (F(hi) - F(lo)) if it scales (see :func:`_whole`)
     and the window's total is still a Fraction, else its clip pieces'
     masses: exact sums do not depend on order, so every total is the
-    float or Fraction M(restrict_to_set(T, window)) gives.  ``whole``
-    caches the whole masses; the calls of one sweep share it.
+    float or Fraction M(restrict_to_set(T, window)) gives.  The levels
+    are ints over their common denominator, each vertex is placed among
+    them once on ints, and a simplex's windows are read off the places
+    of its least and greatest vertex; F runs on the levels and the
+    simplex's vertex values as ints over one denominator.  The whole
+    masses come from T's table, so every call on T shares them.
     """
     levels = [e - f.const for e in edges]
-    totals = [Fraction(0)] * (len(levels) - 1)
-    for index, (dots, (least, most)) in enumerate(zip(values.dots, values.ranges)):
-        # the windows (levels[i], levels[i + 1]) that meet (least, most)
-        first = max(bisect_right(levels, least) - 1, 0)
-        last = min(bisect_left(levels, most), len(totals))
+    common = math.lcm(*(level.denominator for level in levels))
+    ints = [level.numerator * (common // level.denominator) for level in levels]
+    dots, dens, scale = values.f.dots, values.f.dens, values.f.scale
+    # per vertex id: how many levels are <= its value, and how many are <
+    at_most, below = [], []
+    for dot, den in zip(dots, dens):
+        whole, part = divmod(dot * common, scale * den)
+        count = bisect_right(ints, whole)
+        at_most.append(count)
+        below.append(count if part else bisect_left(ints, whole))
+    windows = len(levels) - 1
+    totals = [Fraction(0)] * windows
+    for index, (cell, low, high) in enumerate(zip(values.cells, values.f.low, values.f.high)):
+        # the windows (levels[i], levels[i + 1]) that meet the cell's range
+        first = max(at_most[low] - 1, 0)
+        last = min(below[high], windows)
         if first >= last:
             continue
         s = T.simplices[index]
         weight = abs(s.multiplicity)
-        value, scales = _whole(T, index, whole)
-        if last - first == 1 and levels[first] <= least and most <= levels[last]:
+        value, scales = _whole(T, index)
+        if last - first == 1 and at_most[low] > 0 and below[high] <= windows:
             totals[first] = totals[first] + weight * value
             continue
         if scales:
-            knots = sorted(dots)
-            shares = [_level_share(level, knots) for level in levels[first:last + 1]]
+            # f = dot / (scale den) at a vertex, over scale * lcm(dens) * common
+            lcm = math.lcm(*(dens[i] for i in cell.vertices))
+            knots = sorted(dots[i] * (lcm // dens[i]) * common for i in cell.vertices)
+            shares = [_level_share(q * scale * lcm, knots) for q in ints[first:last + 1]]
         for i in range(first, last):
             if scales and isinstance(totals[i], Fraction):
                 share = shares[i + 1 - first] - shares[i - first]
@@ -484,12 +604,12 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
 def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice,
                values: _Values) -> list:
     """The rows of :func:`band_trend` for a slice of mass ``m_slice`` at t."""
-    lip, whole = f.lipschitz_constant(), {}
+    lip = f.lipschitz_constant()
     rows = []
     for h in h_values:
         if not h > 0:
             raise ParameterError(f"band width must be positive, got {h}")
-        bound = lip * _window_measures(T, f, [t, t + h], values, whole)[0] / h
+        bound = lip * _window_measures(T, f, [t, t + h], values)[0] / h
         excess = max(0.0, float(m_slice) - float(bound))
         rows.append((h, m_slice, bound, excess))
     return rows
@@ -539,10 +659,9 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         raise ParameterError("need a < b")
     width = (b - a) / grid
     lip = f.lipschitz_constant()
-    # f at the vertices, shared by every slice and cell of this sweep, and
-    # the whole masses of the simplices, shared by its cells
-    values, whole = _Values(T, f), {}
-    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)], values, whole)
+    # f at the vertices, shared by every slice and cell of this sweep
+    values = _Values(T, f)
+    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)], values)
     rows = []
     for i, cell in enumerate(cells):
         t = a + width * Fraction(2 * i + 1, 2)
@@ -557,7 +676,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
     # its own window, not the sum of the cells: an atom on a cell edge
     # counts in (a, b) and in no cell
-    denominator = lip * _window_measures(T, f, [a, b], values, whole)[0]
+    denominator = lip * _window_measures(T, f, [a, b], values)[0]
     return CoareaResult(rows=tuple(rows), integral=integral, lip=lip,
                         band_measure=denominator, ratio=_ratio(integral, denominator))
 
@@ -644,7 +763,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         f.lipschitz_constant()
     if not t_samples and (requested(6) or (requested(4) and not middle)):
         raise ParameterError("properties (4) and (6) need at least one level in t_samples")
-    if sweep is None and not values.dot and requested(5) and not middle:
+    if sweep is None and not values.points and requested(5) and not middle:
         raise ParameterError("property (5) on an empty chain needs an explicit sweep")
 
     entries = []
@@ -652,8 +771,9 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     if requested(0):
         # f is constant on a cell of T or of dT: dT's cells on T's ids
         faces = _merge(_faces(values.cells)) if T.degree >= 1 else []
-        dots = values.dots + [[values.dot[i] for i in face.vertices] for face in faces]
-        atoms = sorted({d[0] + f.const for d in dots if len(set(d)) == 1})
+        rank = values.f.rank
+        atoms = sorted({values.value(cell.vertices[0]) + f.const for cell in values.cells + faces
+                        if len({rank[i] for i in cell.vertices}) == 1})
         shown = "{" + ", ".join(str(a) for a in atoms) + "}"
         entries.append(PropertyEntry(
             "P0", "PASS",
@@ -676,8 +796,9 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         bad = []
         for t, result in plus_results.items():
             # t is generic: only a simplex whose f-range holds t strictly meets f^-1(t)
-            level = t - f.const
-            crossing = [s for s, (lo, hi) in zip(T.simplices, values.ranges) if lo < level < hi]
+            signs = values.signs(t - f.const)
+            crossing = [s for s, low, high in zip(T.simplices, values.f.low, values.f.high)
+                        if signs[low] < 0 < signs[high]]
             for v in dict.fromkeys(v for s in result.chain.simplices for v in s.vertices):
                 if f(v) != t or not _point_in_chain(crossing, v):
                     bad.append((t, v))
@@ -728,7 +849,9 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: coarea sweep outside scope (open middle-dimension case)"))
         else:
             if sweep is None:
-                sweep = (min(values.dot) + f.const, max(values.dot) + f.const, 50)
+                rank = values.f.rank
+                sweep = (values.value(rank.index(0)) + f.const,
+                         values.value(rank.index(max(rank))) + f.const, 50)
             a, b, grid = sweep
             result = coarea_sweep(T, f, a, b, grid)
             status = "PASS" if result.ratio <= 1 + COAREA_TOLERANCE else "FAIL"

@@ -157,6 +157,171 @@ def coordinate_slice(T, f, t, side):
     return chain, boundary_of_restricted - restricted_boundary
 
 
+# -- the Fraction level path, the oracle of the integer level kernel -----------
+
+
+class FractionValues:
+    """coeffs . v at the vertices of a chain, on Fractions, interned afresh.
+
+    ``points`` and ``cells`` are :func:`ruminslice.currents._intern` of
+    the chain, ``dot`` holds coeffs . v per id, ``dots`` each cell's
+    values in vertex order and ``ranges`` their (min, max).
+    """
+
+    def __init__(self, T, f):
+        from ruminslice.currents import _intern
+
+        self.points, self.cells = _intern(T.simplices)
+        self.dot = [sum(a * b for a, b in zip(f.coeffs, v)) for v in self.points]
+        self.dots = [tuple(self.dot[i] for i in cell.vertices) for cell in self.cells]
+        self.ranges = [(min(d), max(d)) for d in self.dots]
+
+
+class FractionCutPoints:
+    """The slice's point table on Fraction coordinates.
+
+    A cut point is ``clipping._cut_point`` of its edge, memoised under the
+    edge's sorted end ids and deduplicated by its coordinates.
+    """
+
+    def __init__(self, vertices):
+        self.points = list(vertices)
+        self.first = len(self.points)
+        self.edges = {}
+        self.by_point = {}
+
+    def __call__(self, a, b, va, vb):
+        from ruminslice.clipping import _cut_point
+
+        key = (a, b) if a < b else (b, a)
+        label = self.edges.get(key)
+        if label is None:
+            point = _cut_point(self.points[a], self.points[b], va, vb)
+            label = self.edges[key] = self.by_point.setdefault(point, len(self.points))
+            if label == len(self.points):
+                self.points.append(point)
+        return label
+
+
+def fraction_level_share(t, knots):
+    """F(t) of :func:`ruminslice.slicing._level_share` for a Fraction t and
+    sorted Fraction knots, scaled to ints by their lcm at each call."""
+    from fractions import Fraction
+    from math import lcm
+
+    if not knots[0] < t < knots[-1]:
+        return int(t > knots[0])
+    scale = lcm(t.denominator, *(knot.denominator for knot in knots))
+    q = t.numerator * (scale // t.denominator)
+    points = [knot.numerator * (scale // knot.denominator) for knot in knots]
+    row = [(int(q > p), 1) for p in points]
+    for span in range(1, len(points)):
+        row = [(0, 1) if q <= low else (1, 1) if q >= high
+               else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
+               for low, high, (na, da), (nb, db) in zip(points, points[span:], row, row[1:])]
+    return Fraction(*row[0])
+
+
+def fraction_slice(T, f, t, side, certify=True, values=None):
+    """``slicing._slice`` with every level decision on Fractions.
+
+    f is evaluated at the interned vertices as Fractions, the generic-level
+    refusal and the crossing test compare Fractions, each cut point is
+    ``clipping._cut_point``, and each is checked on the level with
+    ``HalfSpace.value``.  ``values`` is accepted for the library's call
+    sites and ignored: the table is built afresh.
+    """
+    from ruminslice import DegenerateLevelError, InternalInvariantError, ParameterError
+    from ruminslice import SimplicialCurrent, mass
+    from ruminslice.clipping import _split
+    from ruminslice.currents import _Cell, _from_cells, _merge, _ranked
+    from ruminslice.slicing import SliceResult, _certificate, _formula, _sections
+
+    if T.degree < 1:
+        raise ParameterError("cannot slice a 0-chain")
+    values = FractionValues(T, f)
+    for v, dot in zip(values.points, values.dot):
+        if dot + f.const == t:
+            shown = "(" + ", ".join(str(c) for c in v) + ")"
+            raise DegenerateLevelError(
+                f"level {t} hits the vertex {shown}; slice at a nearby generic level instead")
+    plus = side == "+"
+    hs = f.halfspace(t, ">" if plus else "<")
+    level = hs.const
+    cuts = FractionCutPoints(values.points)
+    crossing = []
+    for cell, dots, (least, most) in zip(values.cells, values.dots, values.ranges):
+        if least < level < most:
+            shifted = tuple(d - level for d in dots)
+            crossing.append((cell, shifted, _split(cell.vertices, hs, shifted, cut=cuts)[0]))
+    sections = _merge(_sections(crossing, plus))
+    first = cuts.first
+    if any(i < first for cell in sections for i in cell.vertices):
+        raise InternalInvariantError("a section has a vertex of T, not a cut point")
+    if any(hs.value(p) != 0 for p in cuts.points[first:]):
+        raise InternalInvariantError("a cut point is off the level")
+    points, rank = _ranked(cuts.points[first:])
+    ranked = _merge(_Cell(tuple(rank[i - first] for i in cell.vertices), cell.multiplicity)
+                    for cell in sections)
+    chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
+                              T.quadrature_degree)
+    residual = 0.0
+    if certify:
+        formal = _formula(crossing, hs, plus, cuts)
+        if chain.canonical() != chain:
+            raise InternalInvariantError("canonical() is not idempotent on the slice chain")
+        if _merge(formal) != sections:
+            raise InternalInvariantError("the sections differ from the canonical formula chain")
+        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts.points, formal)))
+        if residual != 0.0:
+            raise InternalInvariantError(
+                f"the slice chain and the formula chain pair differently: residual {residual:.3e}")
+    return SliceResult(chain=chain, mass=mass(chain), residual=residual, level=t, side=side,
+                       middle_dimension=(chain.degree == T.params.n))
+
+
+def fraction_window_measures(T, f, edges, values=None):
+    """``slicing._window_measures`` with every level decision on Fractions.
+
+    The levels are bisected against each simplex's Fraction range, the
+    shares are :func:`fraction_level_share` on the Fraction vertex values,
+    and each whole mass is computed afresh.  ``values`` is ignored.
+    """
+    from bisect import bisect_left, bisect_right
+    from fractions import Fraction
+
+    from ruminslice import restrict_to_set
+    from ruminslice.currents import _simplex_mass, _tangent
+
+    values = FractionValues(T, f)
+    levels = [e - f.const for e in edges]
+    totals = [Fraction(0)] * (len(levels) - 1)
+    for index, (dots, (least, most)) in enumerate(zip(values.dots, values.ranges)):
+        first = max(bisect_right(levels, least) - 1, 0)
+        last = min(bisect_left(levels, most), len(totals))
+        if first >= last:
+            continue
+        s = T.simplices[index]
+        weight = abs(s.multiplicity)
+        value = _simplex_mass(T.params, s, T.quadrature_degree)
+        scales = _tangent(T.params.n, s).constant and isinstance(value, Fraction)
+        if last - first == 1 and levels[first] <= least and most <= levels[last]:
+            totals[first] = totals[first] + weight * value
+            continue
+        if scales:
+            knots = sorted(dots)
+            shares = [fraction_level_share(level, knots) for level in levels[first:last + 1]]
+        for i in range(first, last):
+            if scales and isinstance(totals[i], Fraction):
+                share = shares[i + 1 - first] - shares[i - first]
+                totals[i] = totals[i] + weight * (value * share)
+                continue
+            planes = [f.halfspace(edges[i], ">"), f.halfspace(edges[i + 1], "<")]
+            for piece in restrict_to_set(T.with_simplices([s]), planes).simplices:
+                totals[i] = totals[i] + weight * _simplex_mass(T.params, piece, T.quadrature_degree)
+    return totals
+
+
 # -- the Fraction tangent kernel, the oracle of the integer one ----------------
 
 

@@ -7,10 +7,12 @@ byte, so a change to the slicing kernels that moves a digit, a vertex or
 a message fails here.  The cases cover both slice sides on the three
 fixtures (a horizontal, a mixed and a vertical f on the cube), two
 float slice masses on the cube (f = t, whose tangent varies, and
-x1 + 2y1, whose constant norm is sqrt(5)), three levels that hit a
+x1 + 2y1, whose constant norm is sqrt(5)), four levels that hit a
 vertex (exit 2), a ``coarea`` sweep with rational
 norms, one with irrational norms and the grid-3 sweep that prints
-``[FAIL]`` (exit 1), and ``report`` on each fixture.  Fixture paths are
+``[FAIL]`` (exit 1), and ``report`` on each fixture.  The f
+1/2*x1+2/3*y1+1/5 on the cube has fractional coefficients and a
+constant: both slices at 3/5, a sweep and the refused level 7/10.  Fixture paths are
 relative to the repository root, where the tests run them.
 """
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture
+from conftest import fixture, fraction_level_share
 from test_sections import assert_same_number
 from test_sweep_kernel import affine, cube_mesh, oracle_between
 
@@ -50,8 +50,13 @@ def test_level_share_is_the_clip_pieces_volume(data, k):
     hs = HalfSpace(tuple(knot - knots[0] for knot in knots[1:]), t - knots[0], "<")
     kept, _ = _split(tuple(vertices), hs, tuple(hs.value(v) for v in vertices))
     expected = sum((volume(piece) for piece, _ in kept), F(0)) / volume(vertices)
-    share = _level_share(t, sorted(knots))
+    # t and the knots as ints over their lcm, as the window measure scales them
+    common = math.lcm(t.denominator, *(knot.denominator for knot in knots))
+    share = _level_share(t.numerator * (common // t.denominator),
+                         sorted(knot.numerator * (common // knot.denominator) for knot in knots))
     assert F(share) == expected, (knots, t, share, expected)
+    oracle = fraction_level_share(t, sorted(knots))
+    assert type(share) is type(oracle) and share == oracle
 
 
 CHAINS = {

@@ -172,17 +172,18 @@ def test_a_section_on_a_vertex_of_T_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("slicer", [slice_plus, slice_minus])
 def test_a_cut_point_off_the_level_is_refused(monkeypatch, slicer):
-    original = slicing._cut_point
+    # the first cut point's x1 numerator moves by one, off the level x1 = 1/2
+    original = slicing._integer_cut
     moved = []
 
     def first_moved(a, b, va, vb):
-        point = original(a, b, va, vb)
+        nums, den = original(a, b, va, vb)
         if moved:
-            return point
-        moved.append(point)
-        return (point[0] + F(1, 1000),) + point[1:]
+            return nums, den
+        moved.append(nums)
+        return (nums[0] + 1,) + nums[1:], den
 
-    monkeypatch.setattr(slicing, "_cut_point", first_moved)
+    monkeypatch.setattr(slicing, "_integer_cut", first_moved)
     with pytest.raises(InternalInvariantError, match="off the level"):
         slicer(fixture("cube_h1.json"), affine(1, 0, 0), F(1, 2), certify=False)
 

@@ -2,8 +2,8 @@
 
 A slice merges and cancels on integer vertex ids: the chain's vertices
 are numbered in lexicographic order, cut points are memoised per
-crossing edge and deduplicated by coordinates, and coordinates are
-built once for the chain that survives.  The oracle is the same slice
+crossing edge and deduplicated by their reduced integer coordinates,
+and Fraction coordinates are built only for the cut points that survive.  The oracle is the same slice
 computed on coordinate tuples throughout (``coordinate_slice``,
 ``coordinate_canonical`` and ``coordinate_boundary`` in ``conftest``):
 chains, raw formula chains, masses and residuals must agree exactly.
@@ -95,15 +95,20 @@ def assert_matches_coordinate_path(T, f, t):
 def test_cut_points_are_memoised_and_deduplicated():
     vertices = [(F(-1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(1), F(0)),
                 (F(1), F(1), F(0))]
-    cuts = slicing._CutPoints(vertices)
-    hs = HalfSpace((0, 1, 0), F(1, 2))
-    values = [hs.value(v) for v in vertices]
-    one = cuts(1, 2, values[1], values[2])
-    assert cuts(2, 1, values[2], values[1]) == one
+    # two segments, (1, 2) and (0, 3), that meet y = 1/2 at one point
+    T = SimplicialCurrent(HeisParams(1), 1, [Simplex((vertices[1], vertices[2])),
+                                             Simplex((vertices[0], vertices[3]))])
+    values = slicing._Values(T, affine(0, 1, 0))
+    assert values.points == vertices
+    signs = values.signs(F(1, 2))
+    cuts = slicing._CutPoints(values.points, values.ints)
+    one = cuts(1, 2, signs[1], signs[2])
+    assert cuts(2, 1, signs[2], signs[1]) == one
     # a different edge through the same point gets the same id
-    assert cuts(0, 3, values[0], values[3]) == one
-    assert cuts.points[one] == (F(0), F(1, 2), F(0))
-    assert len(cuts.points) == len(vertices) + 1
+    assert cuts(0, 3, signs[0], signs[3]) == one
+    assert cuts.ints[one] == ((0, 1, 0), 2)
+    assert cuts[one] == (F(0), F(1, 2), F(0))
+    assert len(cuts.ints) == len(vertices) + 1
     assert cuts.edges == {(1, 2): one, (0, 3): one}
 
 
@@ -111,19 +116,22 @@ def test_cut_points_are_memoised_and_deduplicated():
 @given(T=exact_chains(), coeffs=st.tuples(*(st.integers(-3, 3) for _ in range(5))),
        u=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100))
 def test_split_on_ids_cuts_the_same_pieces(T, coeffs, u):
+    # the integer values differ from the half-space values by a positive
+    # factor per vertex, so the pieces and their sides must agree
     f = function_for(T, coeffs[:T.params.dim])
     t = level_between(f, T, u)
     assume(all(f(v) != t for v in T.vertices()))
     values = slicing._Values(T, f)
-    cuts = slicing._CutPoints(values.points)
+    cuts = slicing._CutPoints(values.points, values.ints)
     for op in (">", "<"):
         hs = f.halfspace(t, op)
+        signs = values.signs(hs.const)
         for s, cell in zip(T.simplices, values.cells):
-            shifted = tuple(hs.value(v) for v in s.vertices)
-            by_coords = _split(s.vertices, hs, shifted)
-            by_ids = _split(cell.vertices, hs, shifted, cut=cuts)
-            assert [[(tuple(cuts.points[i] for i in piece), v)
-                     for piece, v in side] for side in by_ids] == list(by_coords)
+            by_coords = _split(s.vertices, hs, tuple(hs.value(v) for v in s.vertices))
+            by_ids = _split(cell.vertices, hs, tuple(signs[i] for i in cell.vertices), cut=cuts)
+            assert [[(tuple(cuts[i] for i in piece), hs.sides(v)) for piece, v in side]
+                    for side in by_ids] == [[(piece, hs.sides(v)) for piece, v in side]
+                                            for side in by_coords]
 
 
 def test_vertex_ids_follow_coordinate_order():
