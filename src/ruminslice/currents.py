@@ -25,15 +25,23 @@ of E that holds T stays fixed, and any other blade B adds, for each
 index b in B, +-shift_b(p) E_B to B with b swapped for T: V(p) = E + L(p)
 with L linear in p.
 
-The tangent kernel runs on integers (see :func:`_tangent`).  A simplex's
-vertices are scaled by d, the lcm of their coordinate denominators, and
-the shift coefficients by their common denominator A, so the edge minors
-(d^k E), the numerators of E and L over the one denominator A d^(k+1),
-and V at the vertices and at the sum of the vertices (k + 1 times the
-centroid) are ints.  A Fraction is made only where a value leaves the
-kernel: per blade and denominator for the constant blade pairings
-(int_S V_B ds = V_B(centroid) / k!), per blade at a quadrature node for
-the moment table, and per node for the mass.  V is affine and the
+The tangent kernel runs on integers (see :func:`_tangent`).  It takes a
+simplex's vertices as (numerators, den) pairs, each vertex over the lcm
+of its own coordinate denominators; a chain reads them off its table,
+and only a bare simplex (a clip piece, or the degeneracy check) converts
+its Fraction coordinates.  The vertices are scaled by d, the lcm of
+their dens, and the shift coefficients by their common denominator A,
+so the edge minors (d^k E), the numerators of E and L over the one
+denominator A d^(k+1), and V at the vertices and at the sum of the
+vertices (k + 1 times the centroid) are ints.  A Fraction is made only
+where a value leaves the kernel: per blade and denominator for the
+constant blade pairings (int_S V_B ds = V_B(centroid) / k!), per blade
+at a quadrature node for the moment table, per node for a varying
+tangent's mass, and once for a constant tangent's rational mass
+root / (den k!).  Masses are summed on ints per denominator too (see
+:class:`_Sum`): a sum makes one Fraction per denominator it met, unless
+a float enters, and from the first float on it adds in the order of the
+terms, so float totals are the floats a sum from Fraction(0) gives.  V is affine and the
 barycentric weights lambda of a node sum to 1, so V there is
 sum lambda_i V(v_i) and
 
@@ -60,11 +68,15 @@ their formula the same way.  No coordinate tuple is sorted per simplex.
 
 A chain keeps what depends on its simplices alone in a table built on
 first use (:class:`_Table`): the interned vertices, which
-:func:`boundary` and the slices read, the vertices on ints, one tangent
-per simplex, which :func:`mass`, the blade pairings and
+:func:`boundary` and the slices read, the vertices on ints, each
+simplex's vertices on ints (its corners, which the tangents read), one
+tangent per simplex, which :func:`mass`, the blade pairings and
 :func:`pair_current` share, and the whole masses per quadrature degree.
-``canonical()`` interns afresh, so the slice certificate's idempotence
-check does not read the table it checks.
+A routine that builds a chain from integer points hands the table in:
+a slice chain is born with its interned vertices and cells and their
+ints, all read off the slice's cut table, and the certificate's formula
+chain with its corners.  ``canonical()`` interns afresh, so the slice
+certificate's idempotence check does not read the table it checks.
 """
 
 from __future__ import annotations
@@ -93,17 +105,32 @@ from .rumin import RuminClass, _ideal_columns, full_blades
 DEFAULT_QUADRATURE_DEGREE = 5
 
 
-def _integer_edges(simplex) -> tuple:
-    """(d, points, edges): the simplex scaled to integers.
+def _integer_point(point: tuple) -> tuple:
+    """(numerators, den): ``point`` as ints over the lcm of its coordinate
+    denominators, the reduced homogeneous form of the point."""
+    den = math.lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (den // c.denominator) for c in point), den
 
-    d is the lcm of the coordinate denominators, ``points`` the vertices
+
+def _integer_edges(corners) -> tuple:
+    """(d, points, edges): a simplex scaled to integers.
+
+    ``corners`` are its vertices as (numerators, den) pairs, in vertex
+    order (see :func:`_integer_point`).  d is the lcm of their dens, which
+    is the lcm of the coordinate denominators, ``points`` the vertices
     times d and ``edges`` the edges of ``points``, all as ints.
     """
-    vertices = simplex.vertices
-    d = math.lcm(*(c.denominator for v in vertices for c in v))
-    points = tuple(tuple(c.numerator * (d // c.denominator) for c in v) for v in vertices)
+    d = math.lcm(*(den for _, den in corners))
+    points = tuple(nums if den == d else tuple(x * (d // den) for x in nums)
+                   for nums, den in corners)
     base = points[0]
     return d, points, tuple(tuple(a - b for a, b in zip(p, base)) for p in points[1:])
+
+
+def _simplex_corners(simplex) -> tuple:
+    """The vertices of a bare simplex as (numerators, den) pairs: the
+    corners of :func:`_integer_edges` for a simplex outside any table."""
+    return tuple(_integer_point(v) for v in simplex.vertices)
 
 
 def _integer_minors(dim: int, edges) -> dict:
@@ -114,7 +141,7 @@ def _integer_minors(dim: int, edges) -> dict:
 
 def _edge_kvector(simplex) -> dict:
     """E = e_1 ^ ... ^ e_k of the simplex's edges, as {blade: minor}."""
-    d, points, edges = _integer_edges(simplex)
+    d, points, edges = _integer_edges(_simplex_corners(simplex))
     scale = d ** len(edges)
     return {b: Fraction(m, scale) for b, m in _integer_minors(len(points[0]), edges).items()}
 
@@ -298,7 +325,7 @@ def _merge(cells) -> list:
     for cell in cells:
         sign, key = sort_indices(cell.vertices)
         mult = cell.multiplicity if sign > 0 else -cell.multiplicity
-        merged[key] = merged.get(key, 0) + mult
+        merged[key] = merged[key] + mult if key in merged else mult
     return [_Cell(ids, m) for ids, m in sorted(merged.items()) if m != 0]
 
 
@@ -333,19 +360,26 @@ class _Table:
       them (see :func:`_interned`);
     - ``ints``: each vertex as (integer numerators, denominator) over the
       lcm of its own coordinate denominators (see :func:`_integer_points`);
+    - ``corners``: each simplex's vertices as such pairs, in vertex order
+      (see :func:`_corners`);
     - ``functions``: per tuple of affine coefficients, what
       :mod:`ruminslice.slicing` reads off f at the vertices;
     - ``tangents``: each simplex's :class:`_Tangent` (see :func:`_tangent_of`);
     - ``masses``: per quadrature degree, each simplex's whole mass (see
       :func:`_whole`).
+
+    A routine that builds a chain and already holds some of these parts
+    hands them in: a slice gives its chain ``ids`` and ``ints`` from its
+    cut table, and the certificate's formula chain its ``corners``.
     """
 
-    __slots__ = ("simplices", "ids", "ints", "functions", "tangents", "masses")
+    __slots__ = ("simplices", "ids", "ints", "corners", "functions", "tangents", "masses")
 
-    def __init__(self, simplices: tuple):
+    def __init__(self, simplices: tuple, ids=None, ints=None, corners=None):
         self.simplices = simplices
-        self.ids = None
-        self.ints = None
+        self.ids = ids
+        self.ints = ints
+        self.corners = corners
         self.functions = {}
         self.tangents = [None] * len(simplices)
         self.masses = {}
@@ -367,19 +401,22 @@ def _interned(T: "SimplicialCurrent") -> tuple:
     return table.ids
 
 
-def _integer_point(point: tuple) -> tuple:
-    """(numerators, den): ``point`` as ints over the lcm of its coordinate
-    denominators, the reduced homogeneous form of the point."""
-    den = math.lcm(*(c.denominator for c in point))
-    return tuple(c.numerator * (den // c.denominator) for c in point), den
-
-
 def _integer_points(T: "SimplicialCurrent") -> list:
     """:func:`_integer_point` of each interned vertex of T, in id order."""
     table = _table(T)
     if table.ints is None:
         table.ints = [_integer_point(p) for p in _interned(T)[0]]
     return table.ints
+
+
+def _corners(T: "SimplicialCurrent") -> list:
+    """Each simplex of T as its vertices' (numerators, den) pairs, in
+    vertex order: the :func:`_integer_points` of its interned cell."""
+    table = _table(T)
+    if table.corners is None:
+        points = _integer_points(T)
+        table.corners = [tuple(points[i] for i in cell.vertices) for cell in _interned(T)[1]]
+    return table.corners
 
 
 # -- tangents ---------------------------------------------------------------
@@ -425,7 +462,7 @@ def _shift_rows(n: int) -> tuple:
 class _Tangent(NamedTuple):
     """A simplex's tangent V(p) = E + L(p) on integers over one denominator.
 
-    With d the lcm of the vertex coordinate denominators and A that of the
+    With d the lcm of the vertex denominators and A that of the
     shift coefficients, ``den`` = A d^(k+1): ``kvector`` holds den * E and
     ``linear`` maps each target blade of :func:`_frame_moves` to
     {axis: c}, so den * L(p)_B = sum c u_axis at the integer point u = d p.
@@ -440,9 +477,10 @@ class _Tangent(NamedTuple):
     constant: bool
 
 
-def _tangent(n: int, simplex) -> _Tangent:
-    """The simplex's :class:`_Tangent`, from its integer edge minors."""
-    d, points, edges = _integer_edges(simplex)
+def _tangent(n: int, corners) -> _Tangent:
+    """The :class:`_Tangent` of the simplex with vertices ``corners``, as
+    (numerators, den) pairs in vertex order, from its integer edge minors."""
+    d, points, edges = _integer_edges(corners)
     minors = _integer_minors(len(points[0]), edges)
     common, rows = _shift_rows(n)
     scale = common * d
@@ -459,11 +497,12 @@ def _tangent(n: int, simplex) -> _Tangent:
 
 
 def _tangent_of(T: "SimplicialCurrent", index: int) -> _Tangent:
-    """The :func:`_tangent` of simplex ``index`` of T, built once per table."""
+    """The :func:`_tangent` of simplex ``index`` of T, built once per table
+    from the simplex's :func:`_corners`."""
     tangents = _table(T).tangents
     tangent = tangents[index]
     if tangent is None:
-        tangent = tangents[index] = _tangent(T.params.n, T.simplices[index])
+        tangent = tangents[index] = _tangent(T.params.n, _corners(T)[index])
     return tangent
 
 
@@ -513,6 +552,11 @@ def _root(square: int, den: int):
     root = math.isqrt(square)
     if root * root == square:
         return Fraction(root, den)
+    return _float_root(square, den)
+
+
+def _float_root(square: int, den: int) -> float:
+    """sqrt(square / den^2) as a float, for a ``square`` that is not a square."""
     return math.sqrt(square / (den * den))
 
 
@@ -686,8 +730,9 @@ def pair_current(T: SimplicialCurrent, c: RuminClass):
 
 
 def _simplex_mass(params: HeisParams, simplex: Simplex, quadrature_degree: int):
-    """int_S |V(p)| ds for one simplex."""
-    return _mass_from_tangent(simplex, _tangent(params.n, simplex), quadrature_degree)
+    """int_S |V(p)| ds for one simplex outside any table (a clip piece)."""
+    return _mass_from_tangent(simplex, _tangent(params.n, _simplex_corners(simplex)),
+                              quadrature_degree)
 
 
 def _mass_from_tangent(simplex: Simplex, tangent: _Tangent, quadrature_degree: int,
@@ -703,7 +748,10 @@ def _mass_from_tangent(simplex: Simplex, tangent: _Tangent, quadrature_degree: i
     k = simplex.degree
     if tangent.constant and region is None:
         square = sum(c * c for c in _numerators(tangent, tangent.points[0]).values())
-        return _root(square, tangent.den) * _parameter_volume(k)
+        root = math.isqrt(square)
+        if root * root == square:
+            return Fraction(root, tangent.den * math.factorial(k))
+        return _float_root(square, tangent.den) * _parameter_volume(k)
     _, corners = _vertex_numerators(tangent)
     gram = [[sum(map(mul, a, b)) for b in corners] for a in corners]
     common, rule = _integer_rule(k, quadrature_degree)
@@ -719,15 +767,72 @@ def _mass_from_tangent(simplex: Simplex, tangent: _Tangent, quadrature_degree: i
     return acc
 
 
+class _Sum:
+    """A running sum that keeps its exact terms on ints until a float enters.
+
+    An exact term num / den is added to the int sum of its denominator;
+    :meth:`value` makes one Fraction per denominator.  The first float
+    term turns the exact part into that Fraction and the sum goes on as
+    ``total + term``, so a float total is the float the terms summed
+    from Fraction(0) in the same order give, and an exact total is a
+    Fraction of the same value.
+    """
+
+    __slots__ = ("parts", "total")
+
+    def __init__(self):
+        self.parts = {}
+        self.total = None  # set when the first float enters
+
+    def exact(self) -> bool:
+        """True while no float has entered."""
+        return self.total is None
+
+    def add_ratio(self, num: int, den: int) -> None:
+        """Add the exact term num / den, for ints with den > 0."""
+        if self.total is None:
+            parts = self.parts
+            parts[den] = parts.get(den, 0) + num
+        else:
+            self.total = self.total + Fraction(num, den)
+
+    def add(self, term) -> None:
+        """Add a Fraction or a float."""
+        if self.total is None:
+            if isinstance(term, Fraction):
+                self.add_ratio(term.numerator, term.denominator)
+                return
+            self.total = self.value()
+        self.total = self.total + term
+
+    def value(self):
+        if self.total is not None:
+            return self.total
+        total = Fraction(0)
+        for den, num in self.parts.items():
+            total = total + Fraction(num, den)
+        return total
+
+
+def _add_weighted(acc: _Sum, multiplicity: Fraction, value) -> None:
+    """Add |multiplicity| * value to ``acc``, on ints when ``value`` is a Fraction."""
+    if isinstance(value, Fraction) and acc.exact():
+        acc.add_ratio(abs(multiplicity.numerator) * value.numerator,
+                      multiplicity.denominator * value.denominator)
+    else:
+        acc.add(abs(multiplicity) * value)
+
+
 def mass(T: SimplicialCurrent):
     """M(T): total measure; exact Fraction when every root closes in Q.
 
-    The simplices' masses are the whole masses of T's table (see :func:`_whole`).
+    The simplices' masses are the whole masses of T's table (see
+    :func:`_whole`), summed per denominator on ints (see :class:`_Sum`).
     """
-    total = Fraction(0)
+    acc = _Sum()
     for index, s in enumerate(T.simplices):
-        total = total + abs(s.multiplicity) * _whole(T, index)[0]
-    return total
+        _add_weighted(acc, s.multiplicity, _whole(T, index)[0])
+    return acc.value()
 
 
 def _blade_pairings(T: SimplicialCurrent) -> dict:

@@ -41,7 +41,10 @@ refusal and the crossing test read these ints.  A level-window measure
 places each vertex among the window's levels on ints, takes a simplex S
 it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
 with parameter volume (see :func:`_level_share`, on ints), and clips
-the others; the whole masses M(S) are kept in the table too.
+the others; the whole masses M(S) are kept in the table too.  A window
+sums its exact terms on ints per denominator, M(S) (F(hi) - F(lo)) with
+F as an integer pair, and makes one Fraction per denominator at the end
+(see :class:`ruminslice.currents._Sum`).
 
 A slice clips, merges and cancels on integer vertex ids, not on
 coordinate tuples.  The chain's vertices, sorted once, are numbered in
@@ -51,9 +54,17 @@ crossing edge, memoised under the edge's end ids, as a reduced
 homogeneous integer point (numerators over a positive denominator, see
 :func:`_integer_cut`), and deduplicated on that pair, so equal ids mean
 equal points even where two edges meet the level at one point.
-Fractions are made only for the cut points the merged sections use,
-which one sort of their coordinates ranks, and, in a certified slice,
-for the formula chain.
+The cut points the merged sections use are ranked on ints (scaled to
+the lcm of their dens, they sort as their coordinates do), and
+Fractions are made only for them and, in a certified slice, for the
+formula chain.  The slice chain is born with its table (see
+:class:`ruminslice.currents._Table`): its interned vertices and cells
+and its vertices on ints come off the cut table, so its tangents and
+its mass never convert a Fraction back to ints; the formula chain is
+born with its corners the same way.  The two slices at one level share
+one clip (:func:`_clip_level`): the pieces a crossing simplex keeps
+below the level are the ones it drops above it, so the property report
+clips each level once for P1.
 
 Every slice, certified or not, checks the two tables it holds: every
 vertex of a section is a cut point, not a vertex of T, and every cut
@@ -91,6 +102,7 @@ from . import linalg
 from .clipping import HalfSpace, _split, exact
 from .currents import (
     SimplicialCurrent,
+    _add_weighted,
     _blade_pairings,
     _Cell,
     _check_coeffs,
@@ -101,6 +113,8 @@ from .currents import (
     _merge,
     _ranked,
     _simplex_mass,
+    _Sum,
+    _Table,
     _table,
     _whole,
     boundary,
@@ -354,50 +368,96 @@ def _check_generic_level(values: _Values, signs: list, t):
         )
 
 
-def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
-           certify: bool = True, values=None) -> SliceResult:
-    if T.degree < 1:
-        raise ParameterError("cannot slice a 0-chain")
-    if values is None:
-        values = _Values(T, f)
-    plus = side == "+"
-    hs = f.halfspace(t, ">" if plus else "<")
-    level = hs.const
+class _Clip(NamedTuple):
+    """One level of a chain, clipped: what both slices at the level share.
+
+    ``above`` is the half-space {f > t}, ``cuts`` the slice's point
+    table and ``split`` holds, for each simplex the level crosses, its
+    cell, its vertices' values and its (kept, dropped) clip pieces by
+    ``above``.  Every piece of a crossing simplex keeps a vertex off the
+    level, so the dropped pieces are the kept pieces of {f < t}, in the
+    same order.
+    """
+
+    above: HalfSpace
+    cuts: _CutPoints
+    split: list
+
+
+def _clip_level(values: _Values, f: AffineFunction, t) -> _Clip:
+    """Clip the simplices the generic level t crosses, once for both sides.
+
+    Refuses a level on a vertex, and checks that every cut point is on
+    the level (coeffs . n q = p scale den on ints), once per point.
+    """
+    above = f.halfspace(t, ">")
+    level = above.const
     signs = values.signs(level)
     _check_generic_level(values, signs, t)
     cuts = _CutPoints(values.points, values.ints)
     # a generic level misses every vertex, so it meets exactly the
     # simplices with vertices on both sides of it
-    crossing = []
+    split = []
     for cell, low, high in zip(values.cells, values.f.low, values.f.high):
         if signs[low] < 0 < signs[high]:
             shifted = tuple(signs[i] for i in cell.vertices)
-            crossing.append((cell, shifted, _split(cell.vertices, hs, shifted, cut=cuts)[0]))
+            split.append((cell, shifted, _split(cell.vertices, above, shifted, cut=cuts)))
+    coeffs, q, shift = values.f.coeffs, level.denominator, level.numerator * values.f.scale
+    if any(sum(map(mul, coeffs, nums)) * q != shift * den
+           for nums, den in cuts.ints[cuts.first:]):
+        raise InternalInvariantError("a cut point is off the level")
+    return _Clip(above, cuts, split)
+
+
+def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
+           certify: bool = True, values=None, clip=None) -> SliceResult:
+    """The slice of T at t on ``side``, from ``clip`` (see :func:`_clip_level`)
+    when the caller holds the level's clip already."""
+    if T.degree < 1:
+        raise ParameterError("cannot slice a 0-chain")
+    if clip is None:
+        clip = _clip_level(_Values(T, f) if values is None else values, f, t)
+    plus = side == "+"
+    cuts = clip.cuts
+    crossing = [(cell, shifted, pieces[0 if plus else 1]) for cell, shifted, pieces in clip.split]
     sections = _merge(_sections(crossing, plus))
-    # every vertex of a section is a cut point, and every cut point is on
-    # the level: coeffs . (n / d) = p / q, on ints
+    # every vertex of a section is a cut point (and every cut point is on
+    # the level, which the clip checked)
     first = cuts.first
     if any(i < first for cell in sections for i in cell.vertices):
         raise InternalInvariantError("a section has a vertex of T, not a cut point")
-    coeffs, q, shift = values.f.coeffs, level.denominator, level.numerator * values.f.scale
-    if any(sum(map(mul, coeffs, nums)) * q != shift * den for nums, den in cuts.ints[first:]):
-        raise InternalInvariantError("a cut point is off the level")
-    # rank the cut points the merged sections use
+    # rank the cut points the merged sections use, on ints: scaled to the
+    # lcm of their dens, the points sort as their coordinates do
     used = sorted({i for cell in sections for i in cell.vertices})
-    points, rank = _ranked([cuts[i] for i in used])
+    common = math.lcm(*(cuts.ints[i][1] for i in used))
+    _, rank = _ranked([tuple(x * (common // den) for x in nums)
+                       for nums, den in (cuts.ints[i] for i in used)])
     place = dict(zip(used, rank))
+    points, ints = [None] * len(used), [None] * len(used)
+    for i, r in place.items():
+        points[r] = cuts[i]
+        ints[r] = cuts.ints[i]
     ranked = _merge(_Cell(tuple(place[i] for i in cell.vertices), cell.multiplicity)
                     for cell in sections)
     chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
                               T.quadrature_degree)
+    # the chain's table from the cut table: its interned vertices and cells
+    # (id order is coordinate order) and its vertices on ints
+    chain._table = _Table(chain.simplices, ids=(points, ranked), ints=ints)
     residual = 0.0
     if certify:
+        hs = clip.above if plus else f.halfspace(t, "<")
         formal = _formula(crossing, hs, plus, cuts)
         if chain.canonical() != chain:
             raise InternalInvariantError("canonical() is not idempotent on the slice chain")
         if _merge(formal) != sections:
             raise InternalInvariantError("the sections differ from the canonical formula chain")
-        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts, formal)))
+        # the formula's cells have nonzero multiplicities, so they line up
+        # with its simplices, and their corners come off the cut table
+        formula = chain.with_simplices(_from_cells(cuts, formal))
+        formula._table = _Table(formula.simplices, corners=[
+            tuple(cuts.ints[i] for i in cell.vertices) for cell in formal])
+        residual = _certificate(chain, formula)
         if residual != 0.0:
             # both checks above merge on ids; the pairings see coordinates
             raise InternalInvariantError(
@@ -511,15 +571,16 @@ def _level_share(q: int, knots: list):
     (so a run of equal knots is a step).  Scaling t and the knots alike
     leaves F as it is, so ``q`` and ``knots`` are t and the f_i as ints
     over one denominator, and the triangle runs on integer pairs (num, den).
+    Returns F as such a pair, den > 0 and not reduced.
     """
     if not knots[0] < q < knots[-1]:
-        return int(q > knots[0])
+        return int(q > knots[0]), 1
     row = [(int(q > p), 1) for p in knots]
     for span in range(1, len(knots)):
         row = [(0, 1) if q <= low else (1, 1) if q >= high
                else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
                for low, high, (na, da), (nb, db) in zip(knots, knots[span:], row, row[1:])]
-    return Fraction(*row[0])
+    return row[0]
 
 
 def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Values) -> list:
@@ -527,14 +588,16 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
 
     A simplex adds its whole mass to a window it lies in.  In a window it
     crosses, it adds M(S) (F(hi) - F(lo)) if it scales (see :func:`_whole`)
-    and the window's total is still a Fraction, else its clip pieces'
+    and the window's total is still exact, else its clip pieces'
     masses: exact sums do not depend on order, so every total is the
     float or Fraction M(restrict_to_set(T, window)) gives.  The levels
     are ints over their common denominator, each vertex is placed among
     them once on ints, and a simplex's windows are read off the places
     of its least and greatest vertex; F runs on the levels and the
     simplex's vertex values as ints over one denominator.  The whole
-    masses come from T's table, so every call on T shares them.
+    masses come from T's table, so every call on T shares them.  Each
+    window sums its exact terms on ints per denominator, the scaled
+    shares with no Fraction at all (see :class:`ruminslice.currents._Sum`).
     """
     levels = [e - f.const for e in edges]
     common = math.lcm(*(level.denominator for level in levels))
@@ -548,7 +611,7 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
         at_most.append(count)
         below.append(count if part else bisect_left(ints, whole))
     windows = len(levels) - 1
-    totals = [Fraction(0)] * windows
+    totals = [_Sum() for _ in range(windows)]
     for index, (cell, low, high) in enumerate(zip(values.cells, values.f.low, values.f.high)):
         # the windows (levels[i], levels[i + 1]) that meet the cell's range
         first = max(at_most[low] - 1, 0)
@@ -556,25 +619,28 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
         if first >= last:
             continue
         s = T.simplices[index]
-        weight = abs(s.multiplicity)
         value, scales = _whole(T, index)
         if last - first == 1 and at_most[low] > 0 and below[high] <= windows:
-            totals[first] = totals[first] + weight * value
+            _add_weighted(totals[first], s.multiplicity, value)
             continue
         if scales:
             # f = dot / (scale den) at a vertex, over scale * lcm(dens) * common
             lcm = math.lcm(*(dens[i] for i in cell.vertices))
             knots = sorted(dots[i] * (lcm // dens[i]) * common for i in cell.vertices)
             shares = [_level_share(q * scale * lcm, knots) for q in ints[first:last + 1]]
+            # |mult| M(S) as ints, a scaling mass being a Fraction
+            mass_num = abs(s.multiplicity.numerator) * value.numerator
+            mass_den = s.multiplicity.denominator * value.denominator
         for i in range(first, last):
-            if scales and isinstance(totals[i], Fraction):
-                share = shares[i + 1 - first] - shares[i - first]
-                totals[i] = totals[i] + weight * (value * share)
+            if scales and totals[i].exact():
+                (n0, d0), (n1, d1) = shares[i - first], shares[i + 1 - first]
+                totals[i].add_ratio(mass_num * (n1 * d0 - n0 * d1), mass_den * d0 * d1)
                 continue
+            weight = abs(s.multiplicity)
             planes = [f.halfspace(edges[i], ">"), f.halfspace(edges[i + 1], "<")]
             for piece in restrict_to_set(T.with_simplices([s]), planes).simplices:
-                totals[i] = totals[i] + weight * _simplex_mass(T.params, piece, T.quadrature_degree)
-    return totals
+                totals[i].add(weight * _simplex_mass(T.params, piece, T.quadrature_degree))
+    return [total.value() for total in totals]
 
 
 def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
@@ -779,14 +845,17 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
             "P0", "PASS",
             f"finite atom set of (mu_T + mu_dT) o f^-1: {len(atoms)} level(s) {shown}"))
 
-    plus_results = {}
+    plus_results, clips = {}, {}
     if requested(1) or requested(2) or requested(3) or requested(6):
         for t in t_samples:
-            plus_results[t] = _slice(T, f, t, "+", values=values)
+            # P1's minus slice reads the plus slice's clip: each level clips once
+            clip = clips[t] = _clip_level(values, f, t) if requested(1) else None
+            plus_results[t] = _slice(T, f, t, "+", values=values, clip=clip)
 
     if requested(1):
         bad = [t for t in t_samples
-               if plus_results[t].chain != _slice(T, f, t, "-", values=values).chain]
+               if plus_results[t].chain
+               != _slice(T, f, t, "-", values=values, clip=clips[t]).chain]
         entries.append(PropertyEntry(
             "P1", "FAIL" if bad else "PASS",
             f"plus/minus slices equal at {len(t_samples) - len(bad)}/{len(t_samples)} generic levels"

@@ -222,14 +222,15 @@ def fraction_level_share(t, knots):
     return Fraction(*row[0])
 
 
-def fraction_slice(T, f, t, side, certify=True, values=None):
+def fraction_slice(T, f, t, side, certify=True, values=None, clip=None):
     """``slicing._slice`` with every level decision on Fractions.
 
     f is evaluated at the interned vertices as Fractions, the generic-level
     refusal and the crossing test compare Fractions, each cut point is
     ``clipping._cut_point``, and each is checked on the level with
-    ``HalfSpace.value``.  ``values`` is accepted for the library's call
-    sites and ignored: the table is built afresh.
+    ``HalfSpace.value``.  ``values`` and ``clip`` are accepted for the
+    library's call sites and ignored: the table and the clip are built
+    afresh.
     """
     from ruminslice import DegenerateLevelError, InternalInvariantError, ParameterError
     from ruminslice import SimplicialCurrent, mass
@@ -291,7 +292,7 @@ def fraction_window_measures(T, f, edges, values=None):
     from fractions import Fraction
 
     from ruminslice import restrict_to_set
-    from ruminslice.currents import _simplex_mass, _tangent
+    from ruminslice.currents import _simplex_corners, _simplex_mass, _tangent
 
     values = FractionValues(T, f)
     levels = [e - f.const for e in edges]
@@ -304,7 +305,8 @@ def fraction_window_measures(T, f, edges, values=None):
         s = T.simplices[index]
         weight = abs(s.multiplicity)
         value = _simplex_mass(T.params, s, T.quadrature_degree)
-        scales = _tangent(T.params.n, s).constant and isinstance(value, Fraction)
+        scales = (_tangent(T.params.n, _simplex_corners(s)).constant
+                  and isinstance(value, Fraction))
         if last - first == 1 and levels[first] <= least and most <= levels[last]:
             totals[first] = totals[first] + weight * value
             continue

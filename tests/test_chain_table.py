@@ -4,10 +4,12 @@ A chain keeps one table, built on first use: its interned vertices, the
 vertices as integer numerators over their own denominators, f's integer
 values per coefficient tuple, one tangent per simplex and the whole
 masses per quadrature degree.  Slices, sweeps and window measures
-decide every level on ints read off that table.  These tests hold the
-public results to the Fraction path (``fraction_slice`` and
+decide every level on ints read off that table, and a slice hands its
+chain a table read off its cut table.  These tests hold the public
+results to the Fraction path (``fraction_slice`` and
 ``fraction_window_measures`` in ``conftest``), value and type alike,
-and count how often the table's parts are built.
+count how often the table's parts are built, and hold a handed-in
+table to one built afresh.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from conftest import (
     fraction_window_measures,
 )
 from test_sections import exact_chains, level_between
+from test_sweep_kernel import cube_mesh
 from test_vertex_ids import recorded_formulas
 
 from ruminslice import (
@@ -214,16 +217,22 @@ def test_the_table_is_built_on_first_use():
 
 @pytest.fixture
 def framed(monkeypatch):
-    """The simplices ``currents._tangent`` is called on, in order."""
+    """The corners ``currents._tangent`` is called on, in order: each
+    simplex as its vertices' (numerators, den) pairs."""
     calls = []
     original = currents._tangent
 
-    def counted(n, simplex):
-        calls.append(simplex)
-        return original(n, simplex)
+    def counted(n, corners):
+        calls.append(tuple(corners))
+        return original(n, corners)
 
     monkeypatch.setattr(currents, "_tangent", counted)
     return calls
+
+
+def corners_of(chain):
+    """Each simplex of ``chain`` as bare-simplex corners, outside its table."""
+    return Counter(currents._simplex_corners(s) for s in chain.simplices)
 
 
 @pytest.mark.parametrize("coeffs, t", [((0, 0, 1), F(1, 3)), ((3, 4, 0), F(22, 7))])
@@ -232,12 +241,14 @@ def test_a_certified_slice_frames_each_simplex_once(framed, coeffs, t):
     with recorded_formulas() as formulas:
         result = slice_plus(T, AffineFunction(coeffs), t)
     (formal,) = formulas
-    chain = result.chain.simplices
-    assert Counter(id(s) for s in framed if any(s is c for c in chain)) == {
-        id(s): 1 for s in chain}
+    chain = result.chain
     # the slice chain's mass and pairings share its tangents; the formula
     # chain has its own, and T's are not needed
-    assert len(framed) == len(chain) + len(formal.simplices)
+    assert all(tangent is not None for tangent in chain._table.tangents)
+    assert Counter(framed) == corners_of(chain) + corners_of(formal)
+    assert len(framed) == len(chain.simplices) + len(formal.simplices)
+    assert not any(T._table.tangents)
+    assert not set(framed) & set(corners_of(T))
 
 
 def test_pair_current_frames_each_simplex_once(framed):
@@ -246,3 +257,63 @@ def test_pair_current_frames_each_simplex_once(framed):
     c = rumin_class(T.params, 2, PolyForm.single(T.params, (0, 1), x1))
     assert pair_current(T, c) == F(1, 2)
     assert len(framed) == len(T.simplices) == 2
+    assert Counter(framed) == corners_of(T)
+
+
+def test_a_sweep_frames_each_slice_simplex_once(framed, monkeypatch):
+    T = cube_mesh(2)
+    chains = []
+    original = slicing._slice
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        chains.append(result.chain)
+        return result
+
+    monkeypatch.setattr(slicing, "_slice", recording)
+    coarea_sweep(T, PINNED_F, F(1, 4), F(6, 5), 7)
+    assert len(chains) == 7
+    sliced = sum((corners_of(chain) for chain in chains), Counter())
+    # slices of T have T.degree vertices, T's own simplices one more
+    built = Counter(c for c in framed if len(c) == T.degree)
+    assert built == sliced and set(built.values()) == {1}
+    whole = Counter(c for c in framed if len(c) == T.degree + 1)
+    assert set(whole.values()) == {1} and whole.keys() <= corners_of(T).keys()
+    # a second sweep frames its own slices only: T's tangents are in its table
+    framed.clear()
+    coarea_sweep(T, PINNED_F, F(1, 4), F(6, 5), 7)
+    assert Counter(framed) == sum((corners_of(chain) for chain in chains[7:]), Counter())
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=exact_chains(), coeffs=st.tuples(*(fraction for _ in range(5))),
+       const=st.tuples(nonzero, st.booleans()), u=level)
+def test_a_slice_chain_is_born_with_its_table(T, coeffs, const, u):
+    # vertices over distinct denominators, fractional coefficients, a constant
+    assume(len({currents._integer_point(v)[1] for v in T.vertices()}) > 1)
+    coeffs = coeffs[:T.params.dim]
+    c = const[0] if const[1] else -const[0]
+    f = AffineFunction(coeffs, c)
+    assume(len({f(p) for p in T.vertices()}) > 1)
+    t = level_between(f, T, u)
+    for slicer in (slice_plus, slice_minus):
+        with recorded_formulas() as formulas:
+            try:
+                chain = slicer(T, f, t).chain
+            except DegenerateLevelError:
+                return
+        (formal,) = formulas
+        table = chain._table
+        fresh = chain.with_simplices(chain.simplices)
+        assert table.simplices is chain.simplices
+        assert table.ids == currents._interned(fresh)
+        assert table.ints == currents._integer_points(fresh)
+        assert currents._corners(chain) == currents._corners(fresh)
+        # the formula chain's corners came off the cut table too
+        assert formal._table.corners == [currents._simplex_corners(s) for s in formal.simplices]
+        for born in (chain, formal):
+            again = born.with_simplices(born.simplices)
+            for index, s in enumerate(born.simplices):
+                tangent = born._table.tangents[index]
+                assert tangent == currents._tangent_of(again, index)
+                assert tangent == currents._tangent(T.params.n, currents._simplex_corners(s))

@@ -9,7 +9,8 @@ fixtures (a horizontal, a mixed and a vertical f on the cube), two
 float slice masses on the cube (f = t, whose tangent varies, and
 x1 + 2y1, whose constant norm is sqrt(5)), four levels that hit a
 vertex (exit 2), a ``coarea`` sweep with rational
-norms, one with irrational norms and the grid-3 sweep that prints
+norms, two with irrational norms (x1 + y1, and x1 + 2y1, whose slice
+masses are float sums) and the grid-3 sweep that prints
 ``[FAIL]`` (exit 1), and ``report`` on each fixture.  The f
 1/2*x1+2/3*y1+1/5 on the cube has fractional coefficients and a
 constant: both slices at 3/5, a sweep and the refused level 7/10.  Fixture paths are

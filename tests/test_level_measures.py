@@ -52,11 +52,11 @@ def test_level_share_is_the_clip_pieces_volume(data, k):
     expected = sum((volume(piece) for piece, _ in kept), F(0)) / volume(vertices)
     # t and the knots as ints over their lcm, as the window measure scales them
     common = math.lcm(t.denominator, *(knot.denominator for knot in knots))
-    share = _level_share(t.numerator * (common // t.denominator),
-                         sorted(knot.numerator * (common // knot.denominator) for knot in knots))
-    assert F(share) == expected, (knots, t, share, expected)
-    oracle = fraction_level_share(t, sorted(knots))
-    assert type(share) is type(oracle) and share == oracle
+    num, den = _level_share(t.numerator * (common // t.denominator),
+                            sorted(knot.numerator * (common // knot.denominator) for knot in knots))
+    assert isinstance(num, int) and isinstance(den, int) and den > 0
+    assert F(num, den) == expected, (knots, t, (num, den), expected)
+    assert F(num, den) == fraction_level_share(t, sorted(knots))
 
 
 CHAINS = {

@@ -44,6 +44,7 @@ from ruminslice.currents import (
     _node_tangents,
     _numerators,
     _shift_rows,
+    _simplex_corners,
     _tangent,
     pair_forms_batch,
     sqrt_exact_or_float,
@@ -320,7 +321,7 @@ def simplex_and_rule(draw):
 @given(simplex_and_rule())
 def test_interpolated_tangent_equals_wedge_at_every_node(case):
     params, simplex, s = case
-    tangent = _tangent(params.n, simplex)
+    tangent = _tangent(params.n, _simplex_corners(simplex))
 
     def evaluated(point, weight=1):
         # V at point / (weight * d), from the integer numerators over den
@@ -361,7 +362,7 @@ def test_constant_exactly_when_the_vertex_tangents_agree():
     seen = set()
     for T in chains:
         for s in T.simplices:
-            tangent = _tangent(T.params.n, s)
+            tangent = _tangent(T.params.n, _simplex_corners(s))
             wedged = [tangent_at(T.params, s, v) for v in s.vertices]
             assert tangent.constant == all(w == wedged[0] for w in wedged)
             if tangent.linear:

@@ -352,6 +352,29 @@ class TestPropertyReport:
         trend = ", ".join(f"h={float(h):g}: excess={exc:.3e}" for h, _, _, exc in rows)
         assert report.entries[1].detail.startswith(f"band mass bound at t=1/2: {trend}")
 
+    def test_p1_clips_each_level_once(self, monkeypatch):
+        # the minus slice reads the plus slice's clip, and both keep their
+        # certificates
+        cube = unit_cube_chain()
+        levels = [F(1, 4), F(1, 2), F(3, 4)]
+        clipped, certified = [], []
+        clip_level, certificate = slicing._clip_level, slicing._certificate
+
+        def counting_clips(values, f, t):
+            clipped.append(t)
+            return clip_level(values, f, t)
+
+        def counting_certificates(chain, formal):
+            certified.append(chain)
+            return certificate(chain, formal)
+
+        monkeypatch.setattr(slicing, "_clip_level", counting_clips)
+        monkeypatch.setattr(slicing, "_certificate", counting_certificates)
+        report = property_report(cube, fx_h1(), levels, properties={1})
+        assert report.passed()
+        assert clipped == levels
+        assert len(certified) == 2 * len(levels)
+
     def test_one_level_table_for_T_and_one_for_its_boundary(self, monkeypatch):
         # every slice the report takes reads f off one table for T and one
         # for dT; P5's coarea sweep builds its own
