@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    verify-complex --n {1,2} [--seed S] [--count C]
-    verify-lemmas  --n {1,2} [--seed S] [--count C]
+    verify-complex --n {1,2,3} [--seed S] [--count C]
+    verify-lemmas  --n {1,2,3} [--seed S] [--count C]
     slice  --chain F --f EXPR --t V [--minus] [--out PATH]
     coarea --chain F --f EXPR --a A --b B --grid M [--out CSV] [--tol T]
     report --chain F --f EXPR [--levels N] [--properties LIST]
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("verify-complex", "exactness and quotient checks for the complex", 100),
             ("verify-lemmas", "commutation identity batteries", 50)):
         pv = sub.add_parser(name, help=help_text)
-        pv.add_argument("--n", type=int, choices=(1, 2), required=True)
+        pv.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
         pv.add_argument("--seed", type=int, default=7)
         pv.add_argument("--count", type=_positive_int, default=count)
 

@@ -273,8 +273,9 @@ def print_poly(params: HeisParams, poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
-    for expo in sorted(poly.terms):
-        coef = poly.terms[expo]
+    terms = poly.terms
+    for expo in sorted(terms):
+        coef = terms[expo]
         text = _monomial_str(params, expo, coef)
         if not pieces:
             pieces.append(text if coef > 0 else f"-{text}")
@@ -298,8 +299,9 @@ def print_form(form: PolyForm) -> str:
     for blade in sorted(form.coeffs):
         poly = form.coeffs[blade]
         blade_text = _blade_name(params, blade)
-        if len(poly.terms) == 1:
-            (expo, coef), = poly.terms.items()
+        terms = poly.terms
+        if len(terms) == 1:
+            (expo, coef), = terms.items()
             mono = _monomial_str(params, expo, coef)
             term = blade_text if mono == "1" else f"{mono}*{blade_text}"
             sign = coef > 0

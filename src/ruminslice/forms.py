@@ -13,11 +13,12 @@ left-invariant derivations.  :func:`exterior_d` applies that rule one
 term c x^e e_B at a time: the frame derivations act on the exponent
 tuple e by integer operations, and a table cached per blade B lists the
 signed target blades of dw_j ^ e_B and of d(e_B).  Everything is exact
-over the rationals.
+over the rationals, on integer numerators.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -262,7 +263,7 @@ def _d_table(n: int, blade: tuple) -> tuple:
     return tuple(wedges), tuple(dtheta)
 
 
-def _add_term(acc: dict, expo: tuple, value: Fraction):
+def _add_term(acc: dict, expo: tuple, value: int):
     old = acc.get(expo)
     acc[expo] = value if old is None else old + value
 
@@ -280,24 +281,27 @@ def exterior_d(omega: PolyForm) -> PolyForm:
         T:   e_t x^(e - 1_t)
 
     and the signed target blades come from :func:`_d_table`.  The terms
-    of each target blade accumulate in one dict; no intermediate
-    :class:`Poly` is built.
+    of each target blade accumulate as int numerators in one dict, over
+    twice the lcm of the input dens so the halves stay ints.
     """
     params = omega.params
     n = params.n
     t = 2 * n
+    den = 2 * math.lcm(*[poly.den for poly in omega.coeffs.values()])
     out = {}
     for blade, poly in omega.coeffs.items():
         wedges, dtheta = _d_table(n, blade)
         wedge_accs = [(j, sign, out.setdefault(target, {})) for j, sign, target in wedges]
         dtheta_accs = [(sign, out.setdefault(target, {})) for sign, target in dtheta]
-        for expo, coef in poly.terms.items():
+        scale = den // poly.den
+        for expo, num in poly.nums.items():
+            coef = num * scale
             et = expo[t]
             if et:
                 lowered = list(expo)
                 lowered[t] -= 1
                 t_value = coef * et
-                half = t_value / 2
+                half = t_value // 2
             for j, sign, acc in wedge_accs:
                 if j == t:
                     if et:
@@ -320,9 +324,9 @@ def exterior_d(omega: PolyForm) -> PolyForm:
     dim = params.dim
     coeffs = {}
     for target, acc in out.items():
-        terms = {e: c for e, c in acc.items() if c}
-        if terms:
-            coeffs[target] = Poly._trusted(dim, terms)
+        nums = {e: c for e, c in acc.items() if c}
+        if nums:
+            coeffs[target] = Poly._trusted(dim, nums, den)
     return PolyForm._trusted(params, omega.grade + 1, coeffs)
 
 
@@ -368,10 +372,10 @@ def random_poly(rng, params: HeisParams, max_degree=3, terms=4, coeff_bound=9) -
         key = tuple(expo)
         total = coeffs.get(key, 0) + coef
         if total:
-            coeffs[key] = Fraction(total)
+            coeffs[key] = total
         else:
             del coeffs[key]
-    return Poly._trusted(nvars, coeffs)
+    return Poly._trusted(nvars, coeffs, 1)
 
 
 def random_form(rng, params: HeisParams, grade: int, max_degree=3, terms=2) -> PolyForm:

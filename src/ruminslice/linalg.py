@@ -9,13 +9,15 @@ one library caller is the property report's point-in-simplex test
 :func:`rref` once per (n, grade) instead.  :func:`det` expands the
 k x k minors of a simplex's edges (k <= 2n+1).  The Rumin operators
 multiply by mostly-zero matrices (the Lefschetz middle inverse, the
-primitive projection and the ideal solve), so they keep them as
-:func:`sparse_rows` and multiply with :func:`sparse_mat_vec`, which
-gives the same Fractions as the dense :func:`mat_vec`.
+primitive projection and the ideal solve), so they keep each as a
+:func:`sparse_rows` table, integer rows over one denominator, and
+multiply integer vectors with :func:`sparse_mat_vec`: its ints, divided
+by the table's denominator, are the dense :func:`mat_vec` product.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -105,15 +107,20 @@ def mat_vec(rows, vec):
 
 
 def sparse_rows(rows) -> tuple:
-    """Each row as a tuple of (column, value) pairs for its nonzero entries."""
-    return tuple(tuple((i, v) for i, v in enumerate(row) if v) for row in rows)
+    """(rows, den): each row's nonzero entries as (column, int numerator) pairs over
+    ``den``, the lcm of all the matrix's denominators."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple((i, v.numerator * (den // v.denominator)) for i, v in enumerate(row) if v)
+                 for row in rows), den
 
 
 def sparse_mat_vec(rows, vec) -> list:
-    """:func:`mat_vec` on :func:`sparse_rows` output; zero entries of vec are skipped."""
+    """:func:`sparse_rows` rows times vec, summed from the int 0; zero entries of vec are
+    skipped.  An int vec gives ints: the product times the table's den."""
     out = []
     for row in rows:
-        total = Fraction(0)
+        total = 0
         for i, a in row:
             v = vec[i]
             if v:

@@ -25,16 +25,18 @@ The middle inverse of L, the primitive projection and the ideal solve
 behind ``is_in_I`` are fixed linear maps on each monomial's vector of
 blade coefficients.  Their exact matrices are built once per (n, grade)
 from one table of constant generators (:func:`_generator_columns`,
-Covector wedges with theta and dtheta) and stored as sparse rows; the
-ideal solve's rows are read off one Gauss-Jordan pass on the generator
-matrix (:func:`_ideal_solver`).  One kernel, :func:`_apply`, multiplies
-every monomial by such rows, at one product per nonzero entry.  Every
+Covector wedges with theta and dtheta) and stored as integer sparse
+rows over one denominator per table; the ideal solve's rows are read off
+one Gauss-Jordan pass on the generator matrix (:func:`_ideal_solver`).
+One kernel, :func:`_apply`, multiplies every monomial's int vector by
+such rows, at one int product per nonzero entry.  Every
 output is still checked: ``L_inv`` verifies dtheta ^ u = w, and every
 high-degree class passes ``is_in_J``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,7 +94,7 @@ def _generator_columns(n: int, generator: str, grade: int, horizontal: bool) -> 
 
 @lru_cache(maxsize=None)
 def _middle_inverse_rows(n: int) -> tuple:
-    """Sparse rows of the inverse of L on horizontal (n-1)-forms.
+    """The sparse table of the inverse of L on horizontal (n-1)-forms.
 
     L maps the horizontal (n-1)-blades onto the (n+1)-blades by a square,
     invertible matrix; its inverse is computed once per n and reused for
@@ -108,37 +110,45 @@ def _middle_inverse_rows(n: int) -> tuple:
 # -- the per-monomial kernel -----------------------------------------------
 
 
-def _monomial_vectors(form: PolyForm, blades: tuple) -> dict:
-    """Split a form into {exponent tuple: coefficient vector over ``blades``}."""
+def _monomial_vectors(form: PolyForm, blades: tuple) -> tuple:
+    """Split a form into ({exponent tuple: int vector over ``blades``}, den),
+    numerators over the lcm of the coefficient denominators."""
     index = {b: i for i, b in enumerate(blades)}
     width = len(blades)
+    den = math.lcm(*[poly.den for poly in form.coeffs.values()])
     slices = {}
     for blade, poly in form.coeffs.items():
         col = index.get(blade)
         if col is None:
             raise InternalInvariantError(f"unexpected blade {blade!r}")
-        for expo, coef in poly.terms.items():
+        scale = den // poly.den
+        for expo, num in poly.nums.items():
             vec = slices.get(expo)
             if vec is None:
-                vec = slices[expo] = [Fraction(0)] * width
-            vec[col] = coef
-    return slices
+                vec = slices[expo] = [0] * width
+            vec[col] = num * scale
+    return slices, den
 
 
-def _apply(params: HeisParams, rows, slices: dict, grade: int, blades: tuple) -> PolyForm:
-    """The grade form whose monomial vectors are ``rows`` times those of ``slices``.
+def _apply(params: HeisParams, table: tuple, vectors: tuple, grade: int,
+           blades: tuple) -> PolyForm:
+    """The grade form whose monomial vectors are ``table`` times those of ``vectors``.
 
-    ``rows`` are sparse rows (:func:`linalg.sparse_rows`), one per blade of
-    ``blades``; ``slices`` is :func:`_monomial_vectors` output.
+    ``table`` is :func:`linalg.sparse_rows` output, one row per blade of
+    ``blades``; ``vectors`` is :func:`_monomial_vectors` output.  The
+    products are numerators over the product of the two dens.
     """
+    rows, table_den = table
+    slices, form_den = vectors
     terms = {}
     for expo, vec in slices.items():
         for blade, value in zip(blades, linalg.sparse_mat_vec(rows, vec)):
             if value:
                 terms.setdefault(blade, {})[expo] = value
     dim = params.dim
+    den = form_den * table_den
     return PolyForm._trusted(params, grade,
-                             {b: Poly._trusted(dim, t) for b, t in terms.items()})
+                             {b: Poly._trusted(dim, t, den) for b, t in terms.items()})
 
 
 # -- contact ideal membership ---------------------------------------------
@@ -153,7 +163,7 @@ def _ideal_columns(n: int, grade: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _ideal_solver(n: int, grade: int) -> tuple:
-    """Sparse (alpha rows, beta rows, check rows) of the ideal solve A x = b.
+    """The (alpha table, beta table, check rows) of the ideal solve A x = b.
 
     A has the :func:`_ideal_columns` as columns.  One Gauss-Jordan pass on
     [A | 1], with pivots sought in A's columns only, leaves [R | E]; the
@@ -161,19 +171,21 @@ def _ideal_solver(n: int, grade: int) -> tuple:
     side that :func:`linalg.solve` builds for b.  Row i of E b below the
     rank is the value of the i-th pivot variable (free variables are 0),
     split into the alpha (theta) and beta (dtheta) unknowns; the rows of E
-    past the rank vanish on b exactly when A x = b is consistent.
+    past the rank vanish on b exactly when A x = b is consistent.  The
+    alpha and beta tables share E's den; the check rows need none.
     """
     columns = _ideal_columns(n, grade)
     size = len(full_blades(n, grade))
     width = len(columns)
     work, pivots = linalg.rref([row + [int(i == j) for j in range(size)]
                                 for i, row in enumerate(linalg.transpose(columns))], width)
-    reduction = linalg.sparse_rows(row[width:] for row in work)
+    reduction, den = linalg.sparse_rows(row[width:] for row in work)
     solution = [()] * width
     for row, c in zip(reduction, pivots):
         solution[c] = row
     split = len(full_blades(n, grade - 1))
-    return tuple(solution[:split]), tuple(solution[split:]), reduction[len(pivots):]
+    return ((tuple(solution[:split]), den), (tuple(solution[split:]), den),
+            reduction[len(pivots):])
 
 
 def is_in_I(omega: PolyForm):
@@ -188,12 +200,12 @@ def is_in_I(omega: PolyForm):
     k = omega.grade
     if k == 0:
         return (omega.is_zero(), None, None)
-    alpha_rows, beta_rows, checks = _ideal_solver(n, k)
-    slices = _monomial_vectors(omega, full_blades(n, k))
-    if any(any(linalg.sparse_mat_vec(checks, vec)) for vec in slices.values()):
+    alpha_table, beta_table, checks = _ideal_solver(n, k)
+    vectors = _monomial_vectors(omega, full_blades(n, k))
+    if any(any(linalg.sparse_mat_vec(checks, vec)) for vec in vectors[0].values()):
         return (False, None, None)
-    alpha = _apply(params, alpha_rows, slices, k - 1, full_blades(n, k - 1))
-    beta = _apply(params, beta_rows, slices, k - 2, full_blades(n, k - 2)) if k >= 2 else None
+    alpha = _apply(params, alpha_table, vectors, k - 1, full_blades(n, k - 1))
+    beta = _apply(params, beta_table, vectors, k - 2, full_blades(n, k - 2)) if k >= 2 else None
     return (True, alpha, beta)
 
 
@@ -210,7 +222,7 @@ def is_in_J(omega: PolyForm) -> bool:
 
 @lru_cache(maxsize=None)
 def _primitive_projection(n: int, grade: int):
-    """Sparse rows of the projection onto the image of L in horizontal k-forms."""
+    """The sparse table of the projection onto the image of L in horizontal k-forms."""
     columns = _generator_columns(n, "dtheta", grade - 2, True)
     if not columns:
         return None
@@ -223,7 +235,7 @@ def canonical_rep(omega: PolyForm) -> PolyForm:
     Strips theta blades, then removes the exact orthogonal projection
     onto dtheta ^ (horizontal (k-2)-forms), monomial by monomial: each
     monomial's coefficient vector is multiplied by the cached sparse
-    rows of the projection.  Two forms are congruent mod I^k iff their
+    table of the projection.  Two forms are congruent mod I^k iff their
     representatives coincide.
     """
     params = omega.params
@@ -255,7 +267,7 @@ def L_inv(w: PolyForm) -> PolyForm:
 
     Defined for horizontal w of grade n+1, where L is an isomorphism.
     Each monomial's coefficient vector is multiplied by the cached sparse
-    rows of the middle inverse, and the result is verified: dtheta ^ u
+    table of the middle inverse, and the result is verified: dtheta ^ u
     must equal w, else :class:`InternalInvariantError`.
     """
     params = w.params

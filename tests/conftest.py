@@ -421,6 +421,240 @@ def fraction_mass(T, region=None):
     return total
 
 
+# -- Fraction-coefficient Rumin arithmetic, the oracle of the integer one -------
+
+
+class FractionPoly:
+    """A polynomial as {exponent tuple: nonzero Fraction}, with Fraction arithmetic.
+
+    The oracle of :class:`ruminslice.polys.Poly`, which keeps integer
+    numerators over one denominator: the same operations, term by term
+    on Fraction coefficients, in the same order.
+    """
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = terms
+
+    @classmethod
+    def of(cls, poly):
+        return cls(poly.nvars, poly.terms)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for expo, coef in other.terms.items():
+            new = terms.get(expo, 0) + coef
+            if new == 0:
+                terms.pop(expo, None)
+            else:
+                terms[expo] = new
+        return FractionPoly(self.nvars, terms)
+
+    def __neg__(self):
+        return FractionPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            if other == 0:
+                return FractionPoly(self.nvars, {})
+            return FractionPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                expo = tuple(a + b for a, b in zip(e1, e2))
+                new = out.get(expo, 0) + c1 * c2
+                if new == 0:
+                    out.pop(expo, None)
+                else:
+                    out[expo] = new
+        return FractionPoly(self.nvars, out)
+
+    def partial(self, index):
+        out = {}
+        for expo, coef in self.terms.items():
+            if expo[index]:
+                lowered = list(expo)
+                lowered[index] -= 1
+                out[tuple(lowered)] = coef * expo[index]
+        return FractionPoly(self.nvars, out)
+
+    def evaluate(self, point):
+        from fractions import Fraction
+
+        total = Fraction(0)
+        for expo, coef in self.terms.items():
+            value = coef
+            for base, e in zip(point, expo):
+                if e:
+                    value = value * base ** e
+            total = total + value
+        return total
+
+
+def fraction_random_poly(rng, nvars, max_degree=3, terms=4, coeff_bound=9):
+    """``forms.random_poly``'s draws, summed into Fraction terms."""
+    from fractions import Fraction
+
+    coeffs = {}
+    for _ in range(terms):
+        expo = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            expo[rng.randrange(nvars)] += 1
+        coef = 0
+        while coef == 0:
+            coef = rng.randint(-coeff_bound, coeff_bound)
+        key = tuple(expo)
+        total = coeffs.get(key, 0) + coef
+        if total:
+            coeffs[key] = Fraction(total)
+        else:
+            del coeffs[key]
+    return FractionPoly(nvars, coeffs)
+
+
+def assert_normal(poly):
+    """Int numerators over an int den >= 1 sharing no factor with it; den 1 for zero."""
+    import math
+
+    assert type(poly.den) is int and poly.den >= 1
+    assert all(type(c) is int and c != 0 for c in poly.nums.values())
+    assert math.gcd(poly.den, *poly.nums.values()) == 1
+    if not poly.nums:
+        assert poly.den == 1
+
+
+def fraction_form(form):
+    """{blade: {exponent tuple: Fraction}} of a PolyForm, the oracles' currency."""
+    return {blade: poly.terms for blade, poly in form.coeffs.items()}
+
+
+def _drop_empty(coeffs):
+    return {blade: terms for blade, terms in coeffs.items() if terms}
+
+
+def fraction_exterior_d(n, coeffs):
+    """exterior_d term by term on Fraction coefficients, halves included.
+
+    Each term c x^e e_B reaches the signed target blades of ``_d_table``:
+    X_j, Y_j and T act on e with coefficients e_j c and (1/2) e_t c.
+    """
+    from ruminslice.forms import _d_table
+
+    t = 2 * n
+    out = {}
+
+    def add(acc, expo, value):
+        acc[expo] = acc.get(expo, 0) + value
+
+    for blade, terms in coeffs.items():
+        wedges, dtheta = _d_table(n, blade)
+        for expo, coef in terms.items():
+            et = expo[t]
+            lowered = list(expo)
+            lowered[t] -= 1
+            for j, sign, target in wedges:
+                acc = out.setdefault(target, {})
+                if j == t:
+                    if et:
+                        add(acc, tuple(lowered), sign * coef * et)
+                    continue
+                if expo[j]:
+                    shifted = list(expo)
+                    shifted[j] -= 1
+                    add(acc, tuple(shifted), sign * coef * expo[j])
+                if et:
+                    # X_j carries -(1/2) y_j T, Y_j carries +(1/2) x_j T
+                    shifted = list(lowered)
+                    shifted[j + n if j < n else j - n] += 1
+                    add(acc, tuple(shifted), sign * (1 if j >= n else -1) * coef * et / 2)
+            for sign, target in dtheta:
+                add(out.setdefault(target, {}), expo, sign * coef)
+    return _drop_empty({b: {e: c for e, c in acc.items() if c} for b, acc in out.items()})
+
+
+def fraction_wedge(nvars, a, b):
+    """Wedge of two {blade: {expo: Fraction}} forms, by FractionPoly products."""
+    from ruminslice.algebra import wedge_blades
+
+    out = {}
+    for left, pl in a.items():
+        for right, pr in b.items():
+            merged = wedge_blades(left, right)
+            if merged is None:
+                continue
+            sign, blade = merged
+            term = FractionPoly(nvars, pl) * FractionPoly(nvars, pr) * sign
+            out[blade] = (FractionPoly(nvars, out.get(blade, {})) + term).terms
+    return _drop_empty(out)
+
+
+def _fraction_per_monomial(coeffs, blades, out_blades, solve):
+    """Apply ``solve`` to each monomial's Fraction vector over ``blades``."""
+    from fractions import Fraction
+
+    index = {b: i for i, b in enumerate(blades)}
+    slices = {}
+    for blade, terms in coeffs.items():
+        for expo, coef in terms.items():
+            slices.setdefault(expo, [Fraction(0)] * len(blades))[index[blade]] = coef
+    out = {}
+    for expo, vec in slices.items():
+        image = solve(vec)
+        if image is None:
+            return None
+        for blade, value in zip(out_blades, image):
+            if value:
+                out.setdefault(blade, {})[expo] = value
+    return out
+
+
+def fraction_canonical_rep(n, k, coeffs):
+    """Strip theta, then subtract the dense Fraction projection onto the image of L."""
+    from ruminslice import linalg
+    from ruminslice.rumin import _generator_columns, horizontal_blades
+
+    horizontal = {b: t for b, t in coeffs.items() if 2 * n not in b}
+    columns = _generator_columns(n, "dtheta", k - 2, True)
+    if not columns:
+        return horizontal
+    projection = linalg.column_space_projection(columns)
+    blades = horizontal_blades(n, k)
+    return _fraction_per_monomial(
+        horizontal, blades, blades,
+        lambda vec: [a - b for a, b in zip(vec, linalg.mat_vec(projection, vec))])
+
+
+def fraction_L_inv(n, coeffs):
+    """u with dtheta ^ u = w, by the dense Fraction inverse of L."""
+    from ruminslice import linalg
+    from ruminslice.rumin import _generator_columns, horizontal_blades
+
+    inverse = linalg.invert(linalg.transpose(_generator_columns(n, "dtheta", n - 1, True)))
+    return _fraction_per_monomial(coeffs, horizontal_blades(n, n + 1),
+                                  horizontal_blades(n, n - 1),
+                                  lambda vec: linalg.mat_vec(inverse, vec))
+
+
+def fraction_ideal_witnesses(n, k, coeffs):
+    """(alpha, beta) of omega = alpha ^ theta + beta ^ dtheta by linalg.solve, or None."""
+    from ruminslice import linalg
+    from ruminslice.rumin import _ideal_columns, full_blades
+
+    rows = linalg.transpose(_ideal_columns(n, k))
+    split = len(full_blades(n, k - 1))
+    targets = full_blades(n, k - 1) + full_blades(n, k - 2)
+    solution = _fraction_per_monomial(coeffs, full_blades(n, k), range(len(targets)),
+                                      lambda vec: linalg.solve(rows, vec))
+    if solution is None:
+        return None
+    alpha = {targets[i]: terms for i, terms in solution.items() if i < split}
+    beta = {targets[i]: terms for i, terms in solution.items() if i >= split}
+    return alpha, beta
+
+
 # -- small helpers the library does not need ------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Pinned CLI output: ``slice``, ``coarea`` and ``report`` on the fixtures.
+"""Pinned CLI output: ``slice``, ``coarea`` and ``report`` on the fixtures,
+and both verification batteries.
 
 ``cli_pinned.json`` holds, for each invocation, the argument list, the
 exit code and the exact stdout and stderr the CLI gave when the file was
@@ -13,8 +14,10 @@ norms, two with irrational norms (x1 + y1, and x1 + 2y1, whose slice
 masses are float sums) and the grid-3 sweep that prints
 ``[FAIL]`` (exit 1), and ``report`` on each fixture.  The f
 1/2*x1+2/3*y1+1/5 on the cube has fractional coefficients and a
-constant: both slices at 3/5, a sweep and the refused level 7/10.  Fixture paths are
-relative to the repository root, where the tests run them.
+constant: both slices at 3/5, a sweep and the refused level 7/10.
+``verify-complex`` and ``verify-lemmas`` are pinned at fixed seeds over
+H^1, H^2 and H^3, with small counts.  Fixture paths are relative to the
+repository root, where the tests run them.
 """
 
 from __future__ import annotations
@@ -42,4 +45,5 @@ def test_cli_output_is_pinned(case, capsys, monkeypatch):
 
 def test_pinned_cases_cover_every_exit_code():
     assert {c["exit"] for c in CASES} == {0, 1, 2}
-    assert {c["args"][0] for c in CASES} == {"slice", "coarea", "report"}
+    assert {c["args"][0] for c in CASES} == {"slice", "coarea", "report",
+                                            "verify-complex", "verify-lemmas"}

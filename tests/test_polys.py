@@ -82,3 +82,47 @@ def test_degree_and_constants():
     p = Poly.var(2, 0) ** 3
     assert p.total_degree() == 3
     assert not p.is_constant()
+
+
+def test_hash_agrees_with_equality():
+    x = Poly.var(2, 0)
+    half = Fraction(1, 2)
+    # a constant polynomial equals its value, so it must hash as that value does
+    for value in (0, 2, -7, half, Fraction(10, 10007)):
+        poly = Poly.const(2, value)
+        assert poly == value
+        assert hash(poly) == hash(value)
+    assert hash(Poly.zero(3)) == hash(0)
+    table = {2: "int", half: "fraction", x + 1: "poly"}
+    assert table[Poly.const(2, 2)] == "int"
+    assert table[Poly.const(3, Fraction(2, 4))] == "fraction"
+    assert table[Poly.var(2, 0) + Poly.const(2, 1)] == "poly"
+    table[Poly.const(2, 2)] = "replaced"
+    assert table[2] == "replaced" and len(table) == 3
+    # other polynomials hash on their normal form
+    a = x * Fraction(2, 3) + Poly.const(2, half)
+    b = Poly(2, {(1, 0): Fraction(4, 6), (0, 0): Fraction(3, 6)})
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.nums) == (6, {(1, 0): 4, (0, 0): 3})
+
+
+def test_bool_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): True})
+    with pytest.raises(TypeError):
+        Poly.const(2, False)
+    with pytest.raises(TypeError):
+        Poly.var(2, 0) * True
+
+
+def test_normal_form():
+    x = Poly.var(2, 0)
+    p = x * Fraction(3, 4) + Fraction(1, 6)
+    assert (p.den, p.nums) == (12, {(1, 0): 9, (0, 0): 2})
+    assert p.terms == {(1, 0): Fraction(3, 4), (0, 0): Fraction(1, 6)}
+    # a sum whose denominators cancel is reduced once
+    q = p + x * Fraction(1, 4)
+    assert (q.den, q.nums) == (6, {(1, 0): 6, (0, 0): 1})
+    assert (p - p).den == 1 and (p - p).nums == {}
+    assert ((x * x * Fraction(1, 2)).partial(0)) == x
+    assert (x * x * Fraction(1, 2)).partial(0).den == 1

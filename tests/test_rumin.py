@@ -184,10 +184,11 @@ class TestLefschetz:
             columns = _generator_columns(n, "dtheta", n - 1, True)
             rows = transpose(columns)
             assert rank(rows) == len(rows)
-            inverse = _middle_inverse_rows(n)
-            # the inverse sends the image of each source blade back to it
+            inverse, den = _middle_inverse_rows(n)
+            # the inverse sends the image of each source blade back to it,
+            # scaled by the table's den
             assert [sparse_mat_vec(inverse, column) for column in columns] == [
-                [int(i == j) for j in range(len(columns))] for i in range(len(columns))]
+                [den * int(i == j) for j in range(len(columns))] for i in range(len(columns))]
 
     def test_round_trip_random(self):
         rng = random.Random(4)

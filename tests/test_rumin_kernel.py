@@ -4,9 +4,10 @@
   oracle below is the symbolic Cartan rule: each coefficient goes through
   the frame derivations ``derive_W`` as :class:`Poly` products, and each
   blade through ``wedge_forms`` of single-blade forms.
-* ``canonical_rep`` and ``L_inv`` multiply by sparse rows of the primitive
-  projection and of the Lefschetz middle inverse.  Their oracle is the
-  dense ``linalg.mat_vec`` on the dense matrices.
+* ``canonical_rep`` and ``L_inv`` multiply by sparse integer tables of the
+  primitive projection and of the Lefschetz middle inverse.  Their oracle
+  is the dense ``linalg.mat_vec`` on the dense Fraction matrices
+  (``conftest.fraction_canonical_rep`` and ``fraction_L_inv``).
 * The constant generator table (theta ^ blade, dtheta ^ blade) against
   wedges of constant :class:`PolyForm` objects, and the ideal solve behind
   ``is_in_I`` against ``linalg.solve`` on the generator matrix.
@@ -23,6 +24,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import assert_normal, fraction_canonical_rep, fraction_form, fraction_L_inv
 
 from ruminslice import (
     DimensionMismatchError,
@@ -95,6 +98,7 @@ def _assert_clean(form: PolyForm):
     for blade, poly in form.coeffs.items():
         assert type(blade) is tuple
         assert poly.nvars == form.params.dim and poly.terms
+        assert_normal(poly)
         for expo, coef in poly.terms.items():
             assert type(expo) is tuple
             assert type(coef) is Fraction and coef != 0
@@ -186,25 +190,6 @@ def _dense_middle_inverse(n: int):
     return linalg.invert(linalg.transpose(_generator_columns(n, "dtheta", n - 1, True)))
 
 
-def _per_monomial(form: PolyForm, blades, out_blades, matrix, complement: bool) -> dict:
-    """Apply a dense matrix (or I minus it) to each monomial's coefficient vector."""
-    index = {b: i for i, b in enumerate(blades)}
-    slices = {}
-    for blade, poly in form.coeffs.items():
-        for expo, coef in poly.terms.items():
-            slices.setdefault(expo, [Fraction(0)] * len(blades))[index[blade]] = coef
-    coeffs = {}
-    for expo, vec in slices.items():
-        image = linalg.mat_vec(matrix, vec)
-        if complement:
-            image = [a - b for a, b in zip(vec, image)]
-        for blade, value in zip(out_blades, image):
-            if value:
-                coeffs[blade] = coeffs.get(blade, Poly.zero(form.params.dim)) + \
-                    Poly(form.params.dim, {expo: value})
-    return coeffs
-
-
 class TestSparseRows:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_sparse_rows_equal_dense_product(self, n):
@@ -212,23 +197,22 @@ class TestSparseRows:
         cases = [(_middle_inverse_rows(n), _dense_middle_inverse(n))]
         cases += [(_primitive_projection(n, k), _dense_projection(n, k))
                   for k in range(2, n + 1)]
-        for sparse, dense in cases:
-            assert all(v != 0 for row in sparse for _, v in row)
+        for (sparse, den), dense in cases:
+            assert all(type(v) is int and v != 0 for row in sparse for _, v in row)
+            assert type(den) is int and den >= 1
             for _ in range(20):
                 # about half the entries zero, so skipping them is exercised
-                vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * rng.randint(0, 1)
-                       for _ in range(len(dense[0]))]
+                vec = [rng.randint(-5, 5) * rng.randint(0, 1) for _ in range(len(dense[0]))]
                 got = linalg.sparse_mat_vec(sparse, vec)
                 want = linalg.mat_vec(dense, vec)
-                assert got == want
-                assert all(type(v) is Fraction for v in got)
+                assert [Fraction(v, den) for v in got] == want
+                assert all(type(v) is int for v in got)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_canonical_rep_equals_dense_projection(self, n):
         params = HeisParams(n)
         rng = random.Random(10 + n)
         for k in range(n + 1):
-            blades = horizontal_blades(n, k)
             for _ in range(6 if n < 3 else 2):
                 omega = random_form(rng, params, k, max_degree=3, terms=3)
                 result = canonical_rep(omega)
@@ -236,9 +220,7 @@ class TestSparseRows:
                 if k < 2:
                     assert result == omega.strip_theta()
                     continue
-                expected = _per_monomial(omega.strip_theta(), blades, blades,
-                                         _dense_projection(n, k), complement=True)
-                assert result == PolyForm(params, k, expected)
+                assert fraction_form(result) == fraction_canonical_rep(n, k, fraction_form(omega))
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_L_inv_equals_dense_inverse(self, n):
@@ -248,14 +230,12 @@ class TestSparseRows:
             w = L_apply(random_form(rng, params, n - 1, max_degree=3, terms=3).strip_theta())
             result = L_inv(w)
             _assert_clean(result)
-            expected = _per_monomial(w, horizontal_blades(n, n + 1), horizontal_blades(n, n - 1),
-                                     _dense_middle_inverse(n), complement=False)
-            assert result == PolyForm(params, n - 1, expected)
+            assert fraction_form(result) == fraction_L_inv(n, fraction_form(w))
 
     def test_L_inv_still_verifies_its_result(self, monkeypatch):
         params = HeisParams(2)
-        rows = _middle_inverse_rows(2)
-        broken = (rows[0][:-1],) + rows[1:]
+        rows, den = _middle_inverse_rows(2)
+        broken = ((rows[0][:-1],) + rows[1:], den)
         monkeypatch.setattr(rumin, "_middle_inverse_rows", lambda n: broken)
         w = L_apply(PolyForm.single(params, (0,), Poly.var(params.dim, 1)))
         with pytest.raises(InternalInvariantError, match="failed to verify"):
@@ -309,7 +289,8 @@ class TestGeneratorTable:
         for n in (1, 2, 3):
             for k in range(1, 2 * n + 2):
                 rows = linalg.transpose(_ideal_columns(n, k))
-                alpha_rows, beta_rows, checks = _ideal_solver(n, k)
+                (alpha_rows, den), (beta_rows, beta_den), checks = _ideal_solver(n, k)
+                assert beta_den == den and type(den) is int and den >= 1
                 split = len(full_blades(n, k - 1))
                 assert len(alpha_rows) == split
                 assert len(beta_rows) == len(full_blades(n, k - 2)) == len(rows[0]) - split
@@ -318,10 +299,10 @@ class TestGeneratorTable:
                 for consistent in (True, False) * 3:
                     if consistent:
                         # A x for a random x: the solve must find a solution
-                        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows[0]]
-                        b = linalg.mat_vec(rows, x)
+                        x = [rng.randint(-4, 4) for _ in rows[0]]
+                        b = [int(v) for v in linalg.mat_vec(rows, x)]
                     else:
-                        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
+                        b = [rng.randint(-4, 4) for _ in rows]
                     want = linalg.solve(rows, b)
                     if any(linalg.sparse_mat_vec(checks, b)):
                         assert want is None
@@ -329,9 +310,10 @@ class TestGeneratorTable:
                         continue
                     alpha = linalg.sparse_mat_vec(alpha_rows, b)
                     beta = linalg.sparse_mat_vec(beta_rows, b)
+                    assert all(type(v) is int for v in alpha + beta)
                     assert want is not None
-                    assert alpha == want[:split] and beta == want[split:]
-                    assert all(type(v) is Fraction for v in alpha + beta)
+                    assert [Fraction(v, den) for v in alpha] == want[:split]
+                    assert [Fraction(v, den) for v in beta] == want[split:]
                     outcomes.add(consistent)
         assert outcomes == {True, False, None}
 
@@ -427,7 +409,8 @@ class TestConstructors:
         ({(1, 0, 0): 1}, ValueError),
         ({(1, 0): 0.5}, TypeError),
         ({(1, 0): "1/2"}, TypeError),
-    ], ids=["short tuple", "negative exponent", "long tuple", "float", "string"])
+        ({(1, 0): True}, TypeError),
+    ], ids=["short tuple", "negative exponent", "long tuple", "float", "string", "bool"])
     def test_poly_constructor_still_validates(self, terms, error):
         with pytest.raises(error):
             Poly(2, terms)
@@ -438,9 +421,10 @@ class TestConstructors:
         ({(0, 3): Poly.const(3, 1)}, ParameterError),
         ({(0,): Poly.const(3, 1)}, ParameterError),
         ({(0, 1): 0.5}, TypeError),
+        ({(0, 1): True}, TypeError),
         ({(0, 1): Poly.const(5, 1)}, DimensionMismatchError),
     ], ids=["unsorted blade", "repeated index", "out of range", "wrong grade",
-            "float coefficient", "wrong variable count"])
+            "float coefficient", "bool coefficient", "wrong variable count"])
     def test_polyform_constructor_still_validates(self, coeffs, error):
         with pytest.raises(error):
             PolyForm(HeisParams(1), 2, coeffs)
