@@ -32,7 +32,8 @@ def sort_indices(indices):
     """Sort a repetition-free index sequence; return (sign, blade) or None.
 
     ``None`` signals a repeated index (the wedge vanishes).  The sign is
-    the parity of the sorting permutation.
+    the parity of the sorting permutation.  Any comparable, hashable
+    items sort the same way, such as a simplex's integer corners.
     """
     idx = list(indices)
     if len(set(idx)) != len(idx):

@@ -63,19 +63,23 @@ lies strictly inside its edge, so no clip piece is degenerate.
 Chains merge on integer vertex ids (see :func:`_merge`): ``canonical()``
 and :func:`boundary` intern their vertices, hashing each once and
 sorting the distinct ones once, so id order is coordinate order, and
-fold orientation signs on id tuples; slices merge their sections and
-their formula the same way.  No coordinate tuple is sorted per simplex.
+fold orientation signs on id tuples; slices merge their sections the
+same way.  A boundary, and each boundary in a slice's formula, folds
+the signs cell by cell (see :func:`_merged_faces`).  No coordinate
+tuple is sorted per simplex.
 
 A chain keeps what depends on its simplices alone in a table built on
 first use (:class:`_Table`): the interned vertices, which
 :func:`boundary` and the slices read, the vertices on ints, each
 simplex's vertices on ints (its corners, which the tangents read), one
 tangent per simplex, which :func:`mass`, the blade pairings and
-:func:`pair_current` share, and the whole masses per quadrature degree.
-A routine that builds a chain from integer points hands the table in:
-a slice chain is born with its interned vertices and cells and their
-ints, all read off the slice's cut table, and the certificate's formula
-chain with its corners.  ``canonical()`` interns afresh, so the slice
+:func:`pair_current` share, the whole masses per quadrature degree,
+and, once a blade pairing asks, one framing per distinct simplex keyed
+by its sorted corners.  A routine that builds a chain from integer
+points hands the table in: a slice chain is born with its interned
+vertices and cells and their ints, all read off the slice's cut table,
+and the certificate's formula chain with its corners and the slice
+chain's framings.  ``canonical()`` interns afresh, so the slice
 certificate's idempotence check does not read the table it checks.
 """
 
@@ -329,14 +333,33 @@ def _merge(cells) -> list:
     return [_Cell(ids, m) for ids, m in sorted(merged.items()) if m != 0]
 
 
-def _faces(cells) -> list:
-    """The faces of ``cells`` with the boundary's alternating signs, unmerged."""
-    out = []
+def _merged_faces(cells) -> list:
+    """The faces of ``cells`` with the boundary's alternating signs, merged
+    as :func:`_merge` merges cells, with each cell's ids sorted once.
+
+    A cell with sorted ids has sorted faces, and face i carries (-1)^i
+    times the cell's multiplicity, negated once more for an odd sort of
+    the cell's ids.  The multiplicities are summed on ints per face, over
+    the lcm of the denominators met there, and each face left nonzero
+    gets one Fraction.
+    """
+    merged = {}
     for cell in cells:
-        ids, mult = cell.vertices, cell.multiplicity
+        sign, ids = sort_indices(cell.vertices)
+        mult = cell.multiplicity
+        num, den = mult.numerator if sign > 0 else -mult.numerator, mult.denominator
         for i in range(len(ids)):
-            out.append(_Cell(ids[:i] + ids[i + 1:], mult if i % 2 == 0 else -mult))
-    return out
+            face = ids[:i] + ids[i + 1:]
+            c = num if i % 2 == 0 else -num
+            entry = merged.get(face)
+            if entry is None:
+                merged[face] = (c, den)
+            elif entry[1] == den:
+                merged[face] = (entry[0] + c, den)
+            else:
+                common = math.lcm(entry[1], den)
+                merged[face] = (entry[0] * (common // entry[1]) + c * (common // den), common)
+    return [_Cell(ids, Fraction(c, den)) for ids, (c, den) in sorted(merged.items()) if c]
 
 
 def _from_cells(points, cells) -> list:
@@ -366,16 +389,22 @@ class _Table:
       :mod:`ruminslice.slicing` reads off f at the vertices;
     - ``tangents``: each simplex's :class:`_Tangent` (see :func:`_tangent_of`);
     - ``masses``: per quadrature degree, each simplex's whole mass (see
-      :func:`_whole`).
+      :func:`_whole`);
+    - ``framed``: per distinct simplex, keyed by its sorted corners, its
+      framing for the blade pairings (see :func:`_blade_pairings`).  It
+      stays None until a blade pairing asks for it.
 
     A routine that builds a chain and already holds some of these parts
     hands them in: a slice gives its chain ``ids`` and ``ints`` from its
-    cut table, and the certificate's formula chain its ``corners``.
+    cut table, and a certified slice gives its formula chain the
+    ``corners`` and the slice chain's ``framed``, so the formula frames
+    only the simplices the slice chain lacks.
     """
 
-    __slots__ = ("simplices", "ids", "ints", "corners", "functions", "tangents", "masses")
+    __slots__ = ("simplices", "ids", "ints", "corners", "functions", "tangents", "masses",
+                 "framed")
 
-    def __init__(self, simplices: tuple, ids=None, ints=None, corners=None):
+    def __init__(self, simplices: tuple, ids=None, ints=None, corners=None, framed=None):
         self.simplices = simplices
         self.ids = ids
         self.ints = ints
@@ -383,6 +412,7 @@ class _Table:
         self.functions = {}
         self.tangents = [None] * len(simplices)
         self.masses = {}
+        self.framed = framed
 
 
 def _table(T: "SimplicialCurrent") -> _Table:
@@ -835,30 +865,73 @@ def mass(T: SimplicialCurrent):
     return acc.value()
 
 
+def _framed(T: SimplicialCurrent) -> dict:
+    """T's memo of blade-pairing framings, made on first use."""
+    table = _table(T)
+    if table.framed is None:
+        table.framed = {}
+    return table.framed
+
+
 def _blade_pairings(T: SimplicialCurrent) -> dict:
     """T(dw_B) for the constant blade forms dw_B, keyed by blade B.
 
     V_B is affine in the point, so int_S V_B ds = V_B(centroid) / k!,
-    exactly: one evaluation of V per simplex, in ints at the sum of the
-    integer vertices.  The numerators are summed as ints per blade and
-    denominator, and each sum becomes one Fraction.  Blades absent from
-    the result pair to zero.
+    exactly.  The simplices are grouped by their sorted corners: each
+    corner is a point's reduced (numerators, den) pair, so equal points
+    give equal pairs and the key names a simplex by its coordinates.
+    Each simplex's multiplicity, negated for an odd vertex order, is
+    summed on ints into its group's net multiplicity.  A group whose net
+    is 0 pairs to 0 and is skipped; every other group is framed once:
+    V at the sum of the integer vertices, in sorted vertex order, read
+    off the tangent of its first simplex (see
+    :func:`_tangent_of`, which :func:`mass` shares).  The framings are
+    kept in T's ``framed`` memo under their keys, and a chain handed
+    another chain's memo frames only the simplices that one lacks.  The
+    numerators are summed as ints per blade and denominator, and each
+    sum becomes one Fraction.  The result holds no zero: blades absent
+    from it pair to zero.
     """
-    corners = T.degree + 1
-    scale = math.factorial(T.degree) * corners
-    sums = {}
-    for index, s in enumerate(T.simplices):
-        tangent = _tangent_of(T, index)
-        centroid = [sum(axis) for axis in zip(*tangent.points)]
+    nets = {}
+    for index, (s, corners) in enumerate(zip(T.simplices, _corners(T))):
+        oriented = sort_indices(corners)
+        if oriented is None:
+            continue  # a repeated vertex: the simplex is degenerate and pairs to 0
+        sign, key = oriented
         mult = s.multiplicity
-        den = mult.denominator * scale * tangent.den
-        for b, c in _numerators(tangent, centroid, corners).items():
-            if c:
-                sums[b, den] = sums.get((b, den), 0) + mult.numerator * c
+        num = mult.numerator if sign > 0 else -mult.numerator
+        entry = nets.get(key)
+        if entry is None:
+            nets[key] = (index, sign, {mult.denominator: num})
+        else:
+            parts = entry[2]
+            parts[mult.denominator] = parts.get(mult.denominator, 0) + num
+    framed = _framed(T)
+    vertices = T.degree + 1
+    scale = math.factorial(T.degree) * vertices
+    sums = {}
+    for key, (index, sign, parts) in nets.items():
+        if len(parts) == 1:
+            ((mden, num),) = parts.items()
+        else:
+            mden = math.lcm(*parts)
+            num = sum(c * (mden // d) for d, c in parts.items())
+        if not num:
+            continue
+        entry = framed.get(key)
+        if entry is None:
+            tangent = _tangent_of(T, index)
+            centroid = [sum(axis) for axis in zip(*tangent.points)]
+            entry = framed[key] = (tangent.den, [
+                (b, c if sign > 0 else -c)
+                for b, c in _numerators(tangent, centroid, vertices).items() if c])
+        den = mden * scale * entry[0]
+        for b, c in entry[1]:
+            sums[b, den] = sums.get((b, den), 0) + num * c
     totals = {}
     for (b, den), c in sums.items():
         totals[b] = totals.get(b, 0) + Fraction(c, den)
-    return totals
+    return {b: value for b, value in totals.items() if value}
 
 
 # -- clipping ---------------------------------------------------------------
@@ -939,7 +1012,7 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     if T.degree < 1:
         raise ParameterError("boundary of a 0-chain is not defined")
     points, cells = _interned(T)
-    return SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, _merge(_faces(cells))),
+    return SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, _merged_faces(cells)),
                              T.quadrature_degree)
 
 

@@ -159,8 +159,10 @@ class PolyForm:
         """Multiply by a polynomial or rational scalar."""
         if not isinstance(factor, Poly):
             factor = Poly.const(self.params.dim, factor)
-        return PolyForm(self.params, self.grade,
-                        {b: p * factor for b, p in self.coeffs.items()})
+        coeffs = {b: p * factor for b, p in self.coeffs.items()}
+        # a product of nonzero polynomials is nonzero: only a zero factor
+        # leaves zero coefficients
+        return PolyForm._trusted(self.params, self.grade, {} if factor.is_zero() else coeffs)
 
     def __eq__(self, other):
         return (
@@ -176,8 +178,8 @@ class PolyForm:
     def strip_theta(self) -> "PolyForm":
         """Drop every blade containing theta (the horizontal restriction)."""
         vertical = self.params.dim - 1
-        return PolyForm(self.params, self.grade,
-                        {b: p for b, p in self.coeffs.items() if vertical not in b})
+        return PolyForm._trusted(self.params, self.grade,
+                                 {b: p for b, p in self.coeffs.items() if vertical not in b})
 
     def is_horizontal(self) -> bool:
         vertical = self.params.dim - 1
@@ -203,6 +205,22 @@ class PolyForm:
             return f"PolyForm(0, grade={self.grade})"
         bits = [f"[{p!r}]*e{''.join(str(i + 1) for i in b)}" for b, p in sorted(self.coeffs.items())]
         return "PolyForm(" + " + ".join(bits) + ")"
+
+
+@lru_cache(maxsize=None)
+def _theta(params: HeisParams) -> PolyForm:
+    """theta over ``params``, built once and shared by the Rumin routines.
+
+    No routine changes a form's ``coeffs`` in place, so sharing is safe;
+    :meth:`PolyForm.theta` still returns a fresh form.
+    """
+    return PolyForm.theta(params)
+
+
+@lru_cache(maxsize=None)
+def _dtheta(params: HeisParams) -> PolyForm:
+    """d theta over ``params``, built once and shared as :func:`_theta` is."""
+    return PolyForm.dtheta(params)
 
 
 def wedge_forms(a: PolyForm, b: PolyForm) -> PolyForm:

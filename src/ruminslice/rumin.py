@@ -44,7 +44,7 @@ from functools import lru_cache
 from . import linalg
 from .algebra import Covector, all_blades, wedge
 from .errors import InternalInvariantError, ParameterError
-from .forms import PolyForm, d_poly, exterior_d, wedge_forms
+from .forms import PolyForm, _dtheta, _theta, d_poly, exterior_d, wedge_forms
 from .heis import HeisParams
 from .polys import Poly
 
@@ -212,9 +212,9 @@ def is_in_I(omega: PolyForm):
 def is_in_J(omega: PolyForm) -> bool:
     """True iff omega ^ theta and omega ^ dtheta both vanish identically."""
     params = omega.params
-    if not wedge_forms(omega, PolyForm.theta(params)).is_zero():
+    if not wedge_forms(omega, _theta(params)).is_zero():
         return False
-    return wedge_forms(omega, PolyForm.dtheta(params)).is_zero()
+    return wedge_forms(omega, _dtheta(params)).is_zero()
 
 
 # -- canonical quotient representatives -----------------------------------
@@ -259,7 +259,7 @@ def L_apply(beta: PolyForm) -> PolyForm:
     """L(beta) = dtheta ^ beta on horizontal forms."""
     if not beta.is_horizontal():
         raise ParameterError("Lefschetz operator expects a horizontal form")
-    return wedge_forms(PolyForm.dtheta(beta.params), beta)
+    return wedge_forms(_dtheta(beta.params), beta)
 
 
 def L_inv(w: PolyForm) -> PolyForm:
@@ -278,7 +278,7 @@ def L_inv(w: PolyForm) -> PolyForm:
         raise ParameterError("L_inv expects a horizontal form")
     slices = _monomial_vectors(w, horizontal_blades(n, n + 1))
     result = _apply(params, _middle_inverse_rows(n), slices, n - 1, horizontal_blades(n, n - 1))
-    if not wedge_forms(PolyForm.dtheta(params), result) == w:
+    if not wedge_forms(_dtheta(params), result) == w:
         raise InternalInvariantError("Lefschetz solve failed to verify")
     return result
 
@@ -294,7 +294,7 @@ def script_L(alpha: PolyForm) -> PolyForm:
 
 def middle_lift(alpha: PolyForm) -> PolyForm:
     """The J-compatible lift alpha + theta ^ scr_L(alpha)."""
-    correction = wedge_forms(PolyForm.theta(alpha.params), script_L(alpha))
+    correction = wedge_forms(_theta(alpha.params), script_L(alpha))
     return alpha + correction
 
 
@@ -395,7 +395,7 @@ def _closed_bracket(dg: PolyForm, omega: PolyForm) -> PolyForm:
 
 def _middle_form(dg: PolyForm, omega: PolyForm, bracket: PolyForm) -> PolyForm:
     """dg ^ (omega + theta ^ scr_L omega) + d(theta ^ bracket)."""
-    theta = PolyForm.theta(omega.params)
+    theta = _theta(omega.params)
     first = wedge_forms(dg, omega + wedge_forms(theta, script_L(omega)))
     return first + exterior_d(wedge_forms(theta, bracket))
 

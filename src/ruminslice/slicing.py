@@ -72,17 +72,25 @@ point is on the level (coeffs . n q = p scale den on ints), once per
 point.  Either failure raises :class:`InternalInvariantError`.
 
 A certified slice also builds the formula, from the same clip pieces
-and on the same ids, as the witness of the cancellation.  It checks
-that the slice chain is a fixed point of ``canonical()``, that the
-formula merges to the same cells as the sections, and that the two
-chains pair alike with every constant blade form dw_B; a failed check
-raises :class:`InternalInvariantError`.  Pairing is linear in simplices
-and alternating in vertex order, and every blade coefficient of the
-tangent is affine in the point, so a k-simplex pairs with dw_B as
-mult * V_B(centroid) / k!: one framing of the simplex's coordinate
-k-vector per simplex of either chain, kept in that chain's table, where
-the slice's mass reads it again.  The pairings see coordinates, so
-they catch a merge that is wrong in the same way on both sides; the
+and on the same ids, as the witness of the cancellation; its two
+boundaries are merged cell by cell (see
+:func:`ruminslice.currents._merged_faces`), not face by face as the
+sections are.  It checks that the slice chain is a fixed point of
+``canonical()``, that the formula merges to the same cells as the
+sections, and that the two chains pair alike with every constant blade
+form dw_B; a failed check raises :class:`InternalInvariantError`.
+Pairing is linear in simplices and alternating in vertex order, and
+every blade coefficient of the tangent is affine in the point, so a
+k-simplex pairs with dw_B as mult * V_B(centroid) / k!.  Each chain
+folds its simplices by their sorted integer corners into net
+multiplicities and frames each distinct simplex whose net is not 0
+once (see :func:`ruminslice.currents._blade_pairings`).  The slice
+chain frames through its own tangents, which its mass reads again, and
+the formula shares the slice chain's framings: in a correct slice its
+off-level simplices cancel to net 0 and the rest are the slice chain's,
+so it frames nothing.  The keys are coordinates, each chain's read off
+its own table, so the pairings catch a merge that is wrong in the same
+way on both sides, and a slice table that misplaces a point; the
 residual is exactly 0.0 whenever the cancellation holds.
 
 Mass bounds and the coarea sweep require the slice dimension k to differ
@@ -106,8 +114,9 @@ from .currents import (
     _blade_pairings,
     _Cell,
     _check_coeffs,
-    _faces,
+    _framed,
     _from_cells,
+    _merged_faces,
     _integer_points,
     _interned,
     _merge,
@@ -453,10 +462,12 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         if _merge(formal) != sections:
             raise InternalInvariantError("the sections differ from the canonical formula chain")
         # the formula's cells have nonzero multiplicities, so they line up
-        # with its simplices, and their corners come off the cut table
+        # with its simplices, and their corners come off the cut table; it
+        # shares the slice chain's framings, so it frames only what differs
         formula = chain.with_simplices(_from_cells(cuts, formal))
         formula._table = _Table(formula.simplices, corners=[
-            tuple(cuts.ints[i] for i in cell.vertices) for cell in formal])
+            tuple(cuts.ints[i] for i in cell.vertices) for cell in formal],
+            framed=_framed(chain))
         residual = _certificate(chain, formula)
         if residual != 0.0:
             # both checks above merge on ids; the pairings see coordinates
@@ -498,18 +509,19 @@ def _formula(crossing, hs: HalfSpace, plus: bool, cuts: _CutPoints) -> list:
     (dT)|{f>t} - d(T|{f>t}) for the plus side, d(T|{f<t}) - (dT)|{f<t}
     for the minus side, as cells on the ids of ``cuts``: T|{f>t} (or
     T|{f<t}) is the kept pieces of ``crossing``, each boundary is merged
-    as :func:`ruminslice.currents.boundary` merges it, and (dT)|{f>t} is
-    clipped afresh, with its faces' values looked up from ``crossing``.
+    cell by cell (see :func:`ruminslice.currents._merged_faces`), and
+    (dT)|{f>t} is clipped afresh, with its faces' values looked up from
+    ``crossing``.
     """
     value = {}
     for cell, shifted, _ in crossing:
         value.update(zip(cell.vertices, shifted))
     restricted_boundary = []
-    for face in _merge(_faces(cell for cell, _, _ in crossing)):
+    for face in _merged_faces(cell for cell, _, _ in crossing):
         kept = _split(face.vertices, hs, tuple(value[i] for i in face.vertices), cut=cuts)[0]
         restricted_boundary.extend(_Cell(piece, face.multiplicity) for piece, _ in kept)
-    boundary_of_restricted = _merge(_faces(
-        _Cell(piece, cell.multiplicity) for cell, _, pieces in crossing for piece, _ in pieces))
+    boundary_of_restricted = _merged_faces(
+        _Cell(piece, cell.multiplicity) for cell, _, pieces in crossing for piece, _ in pieces)
     if plus:
         first, second = restricted_boundary, boundary_of_restricted
     else:
@@ -520,10 +532,12 @@ def _formula(crossing, hs: HalfSpace, plus: bool, cuts: _CutPoints) -> list:
 def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
     """max over blades B of |chain(dw_B) - formal(dw_B)|, as a float.
 
-    The value is exactly 0.0 when ``chain`` is the canonical form of
-    ``formal``, and nonzero whenever an exact difference is: a gap below
-    the float range reads as the least positive float, one above it as
-    inf.
+    Each side is one :func:`ruminslice.currents._blade_pairings` call,
+    exact; ``chain`` goes first, so its framings are in the memo a slice
+    hands ``formal`` before ``formal`` looks there.  The value is exactly
+    0.0 when ``chain`` is the canonical form of ``formal``, and nonzero
+    whenever an exact difference is: a gap below the float range reads
+    as the least positive float, one above it as inf.
     """
     direct = _blade_pairings(chain)
     via_formula = _blade_pairings(formal)
@@ -836,7 +850,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
 
     if requested(0):
         # f is constant on a cell of T or of dT: dT's cells on T's ids
-        faces = _merge(_faces(values.cells)) if T.degree >= 1 else []
+        faces = _merged_faces(values.cells) if T.degree >= 1 else []
         rank = values.f.rank
         atoms = sorted({values.value(cell.vertices[0]) + f.const for cell in values.cells + faces
                         if len({rank[i] for i in cell.vertices}) == 1})

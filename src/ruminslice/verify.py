@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from . import linalg
-from .forms import PolyForm, exterior_d, random_form, random_poly, wedge_forms
+from .forms import (
+    PolyForm,
+    _dtheta,
+    _theta,
+    exterior_d,
+    random_form,
+    random_poly,
+    wedge_forms,
+)
 from .heis import HeisParams
 from .polys import Poly
 from .rumin import (
@@ -87,8 +95,8 @@ def random_J_form(rng, params: HeisParams, degree: int, max_degree=3) -> PolyFor
 
 def random_I_form(rng, params: HeisParams, degree: int, max_degree=2) -> PolyForm:
     """Random element of I^degree: alpha ^ theta + beta ^ dtheta."""
-    theta = PolyForm.theta(params)
-    dtheta = PolyForm.dtheta(params)
+    theta = _theta(params)
+    dtheta = _dtheta(params)
     out = PolyForm.zero(params, degree)
     if degree >= 1:
         alpha = random_form(rng, params, degree - 1, max_degree=max_degree, terms=1)
@@ -155,7 +163,7 @@ def lemma_battery(n: int, seed: int, count: int) -> Battery:
     params = HeisParams(n)
     rng = random.Random(seed)
     battery = Battery(f"Lemma batteries over H^{n} (seed {seed}, {count} cases per check)")
-    theta = PolyForm.theta(params)
+    theta = _theta(params)
 
     def draw_class(degree):
         return random_poly(rng, params), random_class(rng, params, degree)

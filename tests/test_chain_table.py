@@ -242,13 +242,17 @@ def test_a_certified_slice_frames_each_simplex_once(framed, coeffs, t):
         result = slice_plus(T, AffineFunction(coeffs), t)
     (formal,) = formulas
     chain = result.chain
-    # the slice chain's mass and pairings share its tangents; the formula
-    # chain has its own, and T's are not needed
+    # the slice chain's mass and pairings share its tangents, one per
+    # distinct simplex; the formula's simplices that do not cancel are the
+    # chain's, so it frames none, and T's tangents are not needed
     assert all(tangent is not None for tangent in chain._table.tangents)
-    assert Counter(framed) == corners_of(chain) + corners_of(formal)
-    assert len(framed) == len(chain.simplices) + len(formal.simplices)
+    assert Counter(framed) == corners_of(chain)
+    assert set(corners_of(chain).values()) == {1}
+    assert len(framed) == len(chain.simplices) < len(formal.simplices)
+    assert not any(formal._table.tangents)
+    assert formal._table.framed is chain._table.framed
+    assert len(chain._table.framed) == len(chain.simplices)
     assert not any(T._table.tangents)
-    assert not set(framed) & set(corners_of(T))
 
 
 def test_pair_current_frames_each_simplex_once(framed):
@@ -309,11 +313,13 @@ def test_a_slice_chain_is_born_with_its_table(T, coeffs, const, u):
         assert table.ids == currents._interned(fresh)
         assert table.ints == currents._integer_points(fresh)
         assert currents._corners(chain) == currents._corners(fresh)
-        # the formula chain's corners came off the cut table too
+        # the formula chain's corners came off the cut table too, and it
+        # read its framings off the chain's: its own tangents stay unbuilt
         assert formal._table.corners == [currents._simplex_corners(s) for s in formal.simplices]
-        for born in (chain, formal):
-            again = born.with_simplices(born.simplices)
-            for index, s in enumerate(born.simplices):
-                tangent = born._table.tangents[index]
-                assert tangent == currents._tangent_of(again, index)
-                assert tangent == currents._tangent(T.params.n, currents._simplex_corners(s))
+        assert formal._table.framed is table.framed
+        assert not any(formal._table.tangents)
+        again = chain.with_simplices(chain.simplices)
+        for index, s in enumerate(chain.simplices):
+            tangent = table.tangents[index]
+            assert tangent == currents._tangent_of(again, index)
+            assert tangent == currents._tangent(T.params.n, currents._simplex_corners(s))

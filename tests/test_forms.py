@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import scale_vars
 
 from ruminslice import HeisParams, Point, exterior_d, derive_W, horizontal_gradient, wedge_forms
+from ruminslice import forms
 from ruminslice.forms import PolyForm, d_poly, gradient_at, random_form, random_poly
 from ruminslice.polys import Poly
+from ruminslice.verify import complex_battery, lemma_battery
 
 
 def params_of(n):
@@ -216,3 +220,52 @@ class TestEvaluation:
         omega = PolyForm.single(params, (1,), t * t - 1)
         value = omega.evaluate_at(Point((Fraction(0),), (Fraction(0),), Fraction(1)))
         assert value.is_zero()
+
+
+class TestSharedContactForms:
+    """The Rumin routines share one theta and one d theta per group."""
+
+    def test_public_constructors_stay_fresh(self):
+        for n in (1, 2, 3):
+            params = params_of(n)
+            assert forms._theta(params) is forms._theta(params)
+            assert forms._dtheta(params) is forms._dtheta(params)
+            assert PolyForm.theta(params) is not PolyForm.theta(params)
+            assert PolyForm.dtheta(params) is not PolyForm.dtheta(params)
+            assert PolyForm.theta(params) == forms._theta(params)
+            assert PolyForm.dtheta(params) == forms._dtheta(params)
+
+    def test_the_batteries_leave_the_shared_forms_as_they_were(self):
+        shared = {}
+        for n in (1, 2):
+            params = params_of(n)
+            shared[n] = [(form, dict(form.coeffs))
+                         for form in (forms._theta(params), forms._dtheta(params))]
+            assert complex_battery(n, 7, 2).ok
+            assert lemma_battery(n, 7, 2).ok
+        for n, kept in shared.items():
+            params = params_of(n)
+            assert [form for form, _ in kept] == [forms._theta(params), forms._dtheta(params)]
+            for form, coeffs in kept:
+                assert form.coeffs == coeffs
+
+    def test_scale_and_strip_theta_build_valid_forms(self):
+        rng = random.Random(5401)
+        for n in (1, 2):
+            params = params_of(n)
+            for grade in range(2 * n + 2):
+                omega = random_form(rng, params, grade, max_degree=2, terms=3)
+                g = random_poly(rng, params, max_degree=1, terms=2)
+                for result in (omega.scale(g), omega.scale(Fraction(-2, 3)),
+                               omega.scale(0), omega.scale(Poly.zero(params.dim)),
+                               omega.strip_theta()):
+                    # the validating constructor keeps the same coefficients
+                    assert PolyForm(params, result.grade, result.coeffs) == result
+                    assert result.coeffs is not omega.coeffs
+                assert omega.scale(0).is_zero()
+                assert omega.strip_theta().is_horizontal()
+
+    def test_scale_refuses_a_factor_over_other_variables(self):
+        params = params_of(1)
+        with pytest.raises(ValueError, match="different variable counts"):
+            PolyForm.theta(params).scale(Poly.zero(5))

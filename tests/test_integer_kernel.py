@@ -55,8 +55,14 @@ def assert_same(a, b):
     assert type(a) is type(b) and a == b, (a, b)
 
 
+def nonzero(pairings):
+    """The blade pairings without the blades that pair to 0."""
+    return {b: value for b, value in pairings.items() if value}
+
+
 def assert_kernel_matches(T):
-    assert_same(_blade_pairings(T), fraction_blade_pairings(T))
+    # a blade may pair to 0 by cancellation; the kernel then leaves it out
+    assert_same(nonzero(_blade_pairings(T)), nonzero(fraction_blade_pairings(T)))
     assert_same(mass(T), fraction_mass(T))
     for s in T.simplices:
         assert_same(_edge_kvector(s), fraction_edge_kvector(s))
@@ -134,6 +140,71 @@ def chains(draw):
 @given(chains())
 def test_random_chains(T):
     assert_kernel_matches(T)
+
+
+# -- the blade pairings fold repeated simplices --------------------------------
+
+
+def parity(order) -> int:
+    """+1 for an even permutation of range(len(order)), -1 for an odd one."""
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def folded_chains(draw):
+    """(T, nets): a chain over H^1 or H^2 whose simplices repeat, come in
+    permuted vertex orders with Fraction multiplicities, and may cancel to
+    net multiplicity 0; ``nets`` maps each distinct simplex, as a frozenset
+    of vertices, to its net multiplicity in sorted vertex order."""
+    n = draw(st.integers(1, 2))
+    dim = 2 * n + 1
+    degree = draw(st.integers(0, dim))
+    simplices, nets = [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        vertices = tuple(tuple(F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 7])))
+                               for _ in range(dim)) for _ in range(degree + 1))
+        if Simplex(vertices, 0).degenerate():
+            continue
+        ranked = sorted(range(degree + 1), key=vertices.__getitem__)
+        net = F(0)
+        for _ in range(draw(st.integers(1, 4))):
+            order = draw(st.permutations(range(degree + 1)))
+            mult = F(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.sampled_from([1, 2, 5])))
+            simplices.append(Simplex._trusted(tuple(vertices[i] for i in order), mult))
+            # the sign of listing the vertices in ``order`` against sorted order
+            net += parity([ranked.index(i) for i in order]) * mult
+        if net and draw(st.booleans()):
+            # one more copy, in another order, that cancels the rest
+            order = draw(st.permutations(range(degree + 1)))
+            sign = parity([ranked.index(i) for i in order])
+            simplices.append(Simplex._trusted(tuple(vertices[i] for i in order), -sign * net))
+            net = F(0)
+        key = frozenset(vertices)
+        nets[key] = nets.get(key, 0) + net
+    return SimplicialCurrent(HeisParams(n), degree, simplices), nets
+
+
+@settings(max_examples=80, deadline=None)
+@given(folded_chains())
+def test_blade_pairings_frame_each_distinct_simplex_once(drawn):
+    T, nets = drawn
+    framed = []
+    original = currents._tangent
+
+    def counted(n, corners):
+        framed.append(frozenset(tuple(F(x, den) for x in nums) for nums, den in corners))
+        return original(n, corners)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(currents, "_tangent", counted)
+        pairings = _blade_pairings(T)
+        # the framings are kept in T's table: a second call frames nothing
+        assert _blade_pairings(T) == pairings
+    assert all(pairings.values())
+    assert_same(pairings, nonzero(fraction_blade_pairings(T)))
+    assert sorted(framed, key=sorted) == sorted((key for key, net in nets.items() if net),
+                                                key=sorted)
 
 
 # -- admissibility and the empty simplex ---------------------------------------

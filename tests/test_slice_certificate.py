@@ -7,8 +7,8 @@ uncancelled formula chain with every constant blade form dw_B (see
 degree-2 rule, is what slices used to certify with; it stays here as an
 oracle for ``canonical()``: on exact chains it must pair the canonical
 chain and the formula chain to the same Fractions.  The fault-injection
-tests break the formula chain or ``canonical()`` and expect the
-certificate to notice.
+tests break the formula chain, ``canonical()`` or the table a slice
+hands its chain, and expect the certificate to notice.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ruminslice import (
     slice_minus,
     slice_plus,
 )
-from ruminslice import slicing
+from ruminslice import currents, slicing
 from ruminslice.currents import pair_forms_batch
 from ruminslice.formio import load_chain
 from ruminslice.forms import random_form
@@ -233,6 +233,39 @@ def test_a_gap_outside_the_float_range_fails_the_slice(monkeypatch, gap, residua
     with pytest.raises(InternalInvariantError, match=f"pair differently: residual {residual:.3e}"):
         slice_plus(T, affine(1, 0, 0), F(1, 2))
     assert len(nudged) == 1
+
+
+def test_a_misranked_slice_table_fails_the_slice(monkeypatch, certified):
+    # the slice chain's simplices are right, but the table handed to it
+    # ranks two of its cut points the wrong way round; canonical() reads
+    # the simplices and the formula merge compares ids, so only the
+    # pairings, keyed by the corners each chain's table gives, can see it
+    original = slicing._Table
+
+    def misranked(simplices, ids=None, ints=None, **parts):
+        if ids is not None:  # the slice chain's table, off the cut table
+            points, ints = list(ids[0]), list(ints)
+            points[0], points[1] = points[1], points[0]
+            ints[0], ints[1] = ints[1], ints[0]
+            ids = (points, ids[1])
+        return original(simplices, ids=ids, ints=ints, **parts)
+
+    monkeypatch.setattr(slicing, "_Table", misranked)
+    # a 0-chain pairs with the constant 0-form by its multiplicities
+    # alone, so slices of 1-chains cannot show a misplaced point
+    cases = [(T, f, t) for T, f, t in exact_cases() if T.degree >= 2]
+    assert len(cases) >= 7
+    for T, f, t in cases:
+        for slicer in (slice_plus, slice_minus):
+            uncertified = slicer(T, f, t, certify=False).chain
+            with pytest.raises(InternalInvariantError, match="pair differently"):
+                slicer(T, f, t)
+            chain, formal, residual = certified[-1]
+            assert residual > 0
+            assert chain == uncertified and chain.canonical() == chain
+            assert currents._corners(chain) != [currents._simplex_corners(s)
+                                                for s in chain.simplices]
+            assert slicing._certificate(chain, formal) > 0
 
 
 @pytest.mark.parametrize("fault", ["doubles", "drops the last simplex"])

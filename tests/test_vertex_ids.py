@@ -247,6 +247,25 @@ def test_merge_folds_signs_as_an_inversion_count(data):
     assert currents._merge(cells) == inversion_merge(cells)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_merged_faces_fold_signs_as_an_inversion_count(data):
+    size = data.draw(st.integers(min_value=1, max_value=5))
+    ids = st.lists(st.integers(0, 9), min_size=size, max_size=size, unique=True)
+    # multiplicities over different denominators meet on shared faces
+    mults = st.sampled_from((F(-1), F(1), F(1, 2), F(-3), F(2, 3), F(-1, 6)))
+    cells = []
+    for base in data.draw(st.lists(ids, min_size=1, max_size=5)):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            shuffled = tuple(data.draw(st.permutations(base)))
+            cells.append(currents._Cell(shuffled, data.draw(mults)))
+    faces = [(ids[:i] + ids[i + 1:], mult if i % 2 == 0 else -mult)
+             for ids, mult in cells for i in range(len(ids))]
+    merged = currents._merged_faces(cells)
+    assert merged == inversion_merge(faces)
+    assert all(type(cell.multiplicity) is F for cell in merged)
+
+
 @pytest.mark.parametrize("size", sorted(MESHES))
 def test_mesh_boundary_matches_the_coordinate_merge(size):
     T = MESHES[size]
