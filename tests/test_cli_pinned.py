@@ -12,7 +12,12 @@ x1 + 2y1, whose constant norm is sqrt(5)), four levels that hit a
 vertex (exit 2), a ``coarea`` sweep with rational
 norms, two with irrational norms (x1 + y1, and x1 + 2y1, whose slice
 masses are float sums) and the grid-3 sweep that prints
-``[FAIL]`` (exit 1), and ``report`` on each fixture.  The f
+``[FAIL]`` (exit 1), and ``report`` on each fixture.  Four more
+``report`` runs take a vertical or mixed f, so they read f's values at
+the vertices in the atoms (P0), the crossing test (P2) and the default
+sweep (P5): f = t on the cube with properties 0-3, and in full, where
+P4's closed-form constant is refused (exit 2), x1 + 2x2 + 3y1 on the
+square, and 3x1 + 4y1 on the cube at 20 levels.  The f
 1/2*x1+2/3*y1+1/5 on the cube has fractional coefficients and a
 constant: both slices at 3/5, a sweep and the refused level 7/10.
 ``verify-complex`` and ``verify-lemmas`` are pinned at fixed seeds over
