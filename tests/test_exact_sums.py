@@ -23,7 +23,7 @@ from conftest import fixture, fraction_mass, fraction_window_measures
 
 from ruminslice import AffineFunction, mass, slice_plus
 from ruminslice.currents import _Sum
-from ruminslice.slicing import _Values, _window_measures
+from ruminslice.slicing import _window_measures
 
 F = Fraction
 
@@ -100,7 +100,7 @@ def test_window_measures_are_the_fraction_oracle(name, coeffs, const, edges):
     # them: an exact simplex after a float one goes through its clip pieces
     T = CHAINS[name]
     f = AffineFunction(coeffs, const)
-    ours = _window_measures(T, f, edges, _Values(T, f))
+    ours = _window_measures(T, f, edges)
     theirs = fraction_window_measures(T, f, edges)
     assert len(ours) == len(theirs) == len(edges) - 1
     for a, b in zip(ours, theirs):
@@ -111,8 +111,8 @@ def test_the_mixed_windows_hold_both_kinds():
     # the cases above do reach floats after exact terms and exact terms alone
     T = CHAINS["exact, float, exact"]
     f = AffineFunction((1, 1, 1), F(1, 7))
-    kinds = {type(m) for m in _window_measures(T, f, [F(1, 3), F(1), F(2)], _Values(T, f))}
+    kinds = {type(m) for m in _window_measures(T, f, [F(1, 3), F(1), F(2)])}
     assert kinds == {float}
     S = CHAINS["exact"]
     g = AffineFunction((0, 1, 0))
-    assert {type(m) for m in _window_measures(S, g, [F(-1), F(1, 2), F(2)], _Values(S, g))} == {F}
+    assert {type(m) for m in _window_measures(S, g, [F(-1), F(1, 2), F(2)])} == {F}

@@ -40,6 +40,7 @@ from ruminslice.clipping import HalfSpace
 from ruminslice.slicing import (
     AffineFunction,
     band_measure,
+    band_trend,
     coarea_sweep,
     lipschitz_estimate,
     measure_between,
@@ -57,11 +58,12 @@ class TestWrongDimension:
         lambda T: coarea_sweep(T, H1_X, 0, 1, 4),
         lambda T: measure_between(T, H1_X, 0, F(1, 2)),
         lambda T: band_measure(T, H1_X, 0, F(1, 2)),
+        lambda T: band_trend(T, H1_X, F(1, 3), [F(1, 4)]),
         lambda T: property_report(T, H1_X, [F(1, 3)]),
         lambda T: property_report(T, H1_X, [F(1, 3)], properties={0}),
         lambda T: restrict_by_fn(T, GammaWeight((1, 0, 0), 0, 0, F(1, 2))),
     ], ids=["slice_plus", "slice_minus", "coarea_sweep", "measure_between", "band_measure",
-            "property_report", "property_report_P0", "restrict_by_fn"])
+            "band_trend", "property_report", "property_report_P0", "restrict_by_fn"])
     def test_h1_function_on_an_h2_chain(self, call):
         with pytest.raises(DimensionMismatchError):
             call(horizontal_square_chain())

@@ -34,10 +34,9 @@ from ruminslice import (
     slice_minus,
     slice_plus,
 )
-from ruminslice import slicing
+from ruminslice import currents, slicing
 from ruminslice.slicing import (
     AffineFunction,
-    band_bound,
     band_measure,
     band_trend,
     coarea_sweep,
@@ -215,8 +214,6 @@ class TestBands:
             band_measure(cube, fx_h1(), F(1, 4), h)
         assert str(caught.value) == message
         with pytest.raises(ParameterError, match="band width must be positive"):
-            band_bound(cube, fx_h1(), F(1, 4), h)
-        with pytest.raises(ParameterError, match="band width must be positive"):
             band_trend(cube, fx_h1(), F(1, 3), [F(1, 4), h])
 
     def test_band_trend_cube(self):
@@ -360,9 +357,9 @@ class TestPropertyReport:
         clipped, certified = [], []
         clip_level, certificate = slicing._clip_level, slicing._certificate
 
-        def counting_clips(values, f, t):
+        def counting_clips(T, f, t):
             clipped.append(t)
-            return clip_level(values, f, t)
+            return clip_level(T, f, t)
 
         def counting_certificates(chain, formal):
             certified.append(chain)
@@ -376,21 +373,36 @@ class TestPropertyReport:
         assert len(certified) == 2 * len(levels)
 
     def test_one_level_table_for_T_and_one_for_its_boundary(self, monkeypatch):
-        # every slice the report takes reads f off one table for T and one
-        # for dT; P5's coarea sweep builds its own
+        # the report reads f off one entry of T's table and one of dT's,
+        # each built once, and P5's coarea sweep reuses T's
         cube = unit_cube_chain()
-        built = []
+        f = fx_h1()
+        looked_up, swept = [], []
+        dots, sweep = slicing._dots, slicing.coarea_sweep
 
-        class Counting(slicing._Values):
-            __slots__ = ()
+        def recording_dots(T, g):
+            built = g.coeffs not in currents._table(T).functions
+            entry = dots(T, g)
+            looked_up.append((T, built, entry))
+            return entry
 
-            def __init__(self, T, f):
-                built.append(T)
-                super().__init__(T, f)
+        def recording_sweep(*args):
+            swept.append(len(looked_up))
+            return sweep(*args)
 
-        monkeypatch.setattr(slicing, "_Values", Counting)
-        assert property_report(cube, fx_h1(), [F(1, 4), F(1, 2), F(3, 4)]).passed()
-        assert built == [cube, boundary(cube), cube]
+        monkeypatch.setattr(slicing, "_dots", recording_dots)
+        monkeypatch.setattr(slicing, "coarea_sweep", recording_sweep)
+        assert property_report(cube, f, [F(1, 4), F(1, 2), F(3, 4)]).passed()
+        chains = list({id(T): T for T, _, _ in looked_up}.values())
+        assert chains == [cube, boundary(cube)] and chains[0] is cube
+        for chain in chains:
+            entries = [(built, entry) for T, built, entry in looked_up if T is chain]
+            assert [built for built, _ in entries] == [True] + [False] * (len(entries) - 1)
+            assert all(entry is entries[0][1] for _, entry in entries)
+            assert list(currents._table(chain).functions) == [f.coeffs]
+        assert len(swept) == 1
+        in_sweep = looked_up[swept[0]:]
+        assert in_sweep and all(T is cube and not built for T, built, _ in in_sweep)
 
     def test_random_chains_fuzz(self):
         # random chains, functions, multiplicities: the defining-formula

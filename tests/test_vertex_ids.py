@@ -98,10 +98,10 @@ def test_cut_points_are_memoised_and_deduplicated():
     # two segments, (1, 2) and (0, 3), that meet y = 1/2 at one point
     T = SimplicialCurrent(HeisParams(1), 1, [Simplex((vertices[1], vertices[2])),
                                              Simplex((vertices[0], vertices[3]))])
-    values = slicing._Values(T, affine(0, 1, 0))
-    assert values.points == vertices
-    signs = values.signs(F(1, 2))
-    cuts = slicing._CutPoints(values.points, values.ints)
+    points = currents._interned(T)[0]
+    assert points == vertices
+    signs = slicing._dots(T, affine(0, 1, 0)).signs(F(1, 2))
+    cuts = slicing._CutPoints(points, currents._integer_points(T))
     one = cuts(1, 2, signs[1], signs[2])
     assert cuts(2, 1, signs[2], signs[1]) == one
     # a different edge through the same point gets the same id
@@ -121,12 +121,13 @@ def test_split_on_ids_cuts_the_same_pieces(T, coeffs, u):
     f = function_for(T, coeffs[:T.params.dim])
     t = level_between(f, T, u)
     assume(all(f(v) != t for v in T.vertices()))
-    values = slicing._Values(T, f)
-    cuts = slicing._CutPoints(values.points, values.ints)
+    points, cells = currents._interned(T)
+    dots = slicing._dots(T, f)
+    cuts = slicing._CutPoints(points, currents._integer_points(T))
     for op in (">", "<"):
         hs = f.halfspace(t, op)
-        signs = values.signs(hs.const)
-        for s, cell in zip(T.simplices, values.cells):
+        signs = dots.signs(hs.const)
+        for s, cell in zip(T.simplices, cells):
             by_coords = _split(s.vertices, hs, tuple(hs.value(v) for v in s.vertices))
             by_ids = _split(cell.vertices, hs, tuple(signs[i] for i in cell.vertices), cut=cuts)
             assert [[(tuple(cuts[i] for i in piece), hs.sides(v)) for piece, v in side]
@@ -136,10 +137,10 @@ def test_split_on_ids_cuts_the_same_pieces(T, coeffs, u):
 
 def test_vertex_ids_follow_coordinate_order():
     T = MESHES[2]
-    values = slicing._Values(T, affine(3, 4, 0))
-    assert values.points == sorted(T.vertices())
-    assert [(tuple(values.points[i] for i in cell.vertices), cell.multiplicity)
-            for cell in values.cells] == [(s.vertices, s.multiplicity) for s in T.simplices]
+    points, cells = currents._interned(T)
+    assert points == sorted(T.vertices())
+    assert [(tuple(points[i] for i in cell.vertices), cell.multiplicity)
+            for cell in cells] == [(s.vertices, s.multiplicity) for s in T.simplices]
 
 
 # -- slices against the coordinate path ---------------------------------------
