@@ -223,6 +223,14 @@ class SimplicialCurrent:
             cleaned.append(s)
         self.simplices = tuple(cleaned)
 
+    @classmethod
+    def _trusted(cls, params, degree, simplices, quadrature_degree) -> "SimplicialCurrent":
+        """A chain of checked, nonzero Simplex instances, built without the checks."""
+        chain = object.__new__(cls)
+        chain.params, chain.degree, chain.quadrature_degree = params, degree, quadrature_degree
+        chain.simplices = tuple(simplices)
+        return chain
+
     def is_empty(self) -> bool:
         return not self.simplices
 
@@ -260,7 +268,8 @@ class SimplicialCurrent:
         the simplices merged on their ids (see :func:`_merge`).
         """
         points, cells = _intern(self.simplices)
-        return self.with_simplices(_from_cells(points, _merge(cells)))
+        return self._trusted(self.params, self.degree, _from_cells(points, _merge(cells)),
+                             self.quadrature_degree)
 
     def vertices(self) -> set:
         out = set()
@@ -305,13 +314,14 @@ def _intern(simplices) -> tuple:
     lexicographic order, and each simplex as a cell on indices into
     ``points``.
 
-    Each vertex is hashed once and the distinct ones sorted once, so id
-    order is coordinate order.
+    Vertices are keyed by their coordinates' (numerator, denominator) pairs and
+    the distinct ones sorted once, so id order is coordinate order.
     """
     first_seen = {}
-    labels = [tuple(first_seen.setdefault(v, len(first_seen)) for v in s.vertices)
+    labels = [[first_seen.setdefault(tuple([c.as_integer_ratio() for c in v]),
+                                     (len(first_seen), v))[0] for v in s.vertices]
               for s in simplices]
-    points, rank = _ranked(list(first_seen))
+    points, rank = _ranked([v for _, v in first_seen.values()])
     return points, [_Cell(tuple(rank[i] for i in ids), s.multiplicity)
                     for ids, s in zip(labels, simplices)]
 
@@ -1012,8 +1022,8 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     if T.degree < 1:
         raise ParameterError("boundary of a 0-chain is not defined")
     points, cells = _interned(T)
-    return SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, _merged_faces(cells)),
-                             T.quadrature_degree)
+    faces = _from_cells(points, _merged_faces(cells))
+    return SimplicialCurrent._trusted(T.params, T.degree - 1, faces, T.quadrature_degree)
 
 
 def restrict_by_fn(T: SimplicialCurrent, g) -> "WeightedCurrent":

@@ -121,11 +121,13 @@ from .currents import (
     _integer_points,
     _interned,
     _merge,
+    _numerators,
     _ranked,
     _simplex_mass,
     _Sum,
     _Table,
     _table,
+    _tangent_of,
     _whole,
     boundary,
     gamma_h_eval,  # re-exported: the ramp lives with GammaWeight
@@ -238,7 +240,7 @@ class _Dots(NamedTuple):
     ``dots[v]`` / (scale * dens[v]).  ``rank`` numbers the distinct
     values of coeffs . v in ascending order, equal values alike, and
     ``low`` and ``high`` hold, per cell, a vertex id where the cell's
-    value is least and one where it is greatest.
+    value is least and one where it is greatest.  Sweeps fill ``groups``.
     """
 
     scale: int
@@ -248,6 +250,7 @@ class _Dots(NamedTuple):
     rank: list
     low: list
     high: list
+    groups: dict
 
     def signs(self, level: Fraction) -> list:
         """Per vertex id, an int with the sign of coeffs . v - ``level``.
@@ -284,7 +287,7 @@ def _dots(T: SimplicialCurrent, f: AffineFunction) -> _Dots:
         entry = functions[f.coeffs] = _Dots(
             scale, ints, dots, dens, rank,
             [min(cell.vertices, key=rank.__getitem__) for cell in cells],
-            [max(cell.vertices, key=rank.__getitem__) for cell in cells])
+            [max(cell.vertices, key=rank.__getitem__) for cell in cells], {})
     return entry
 
 
@@ -424,8 +427,8 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         ints[r] = cuts.ints[i]
     ranked = _merge(_Cell(tuple(place[i] for i in cell.vertices), cell.multiplicity)
                     for cell in sections)
-    chain = SimplicialCurrent(T.params, T.degree - 1, _from_cells(points, ranked),
-                              T.quadrature_degree)
+    chain = SimplicialCurrent._trusted(T.params, T.degree - 1, _from_cells(points, ranked),
+                                       T.quadrature_degree)
     # the chain's table from the cut table: its interned vertices and cells
     # (id order is coordinate order) and its vertices on ints
     chain._table = _Table(chain.simplices, ids=(points, ranked), ints=ints)
@@ -439,7 +442,8 @@ def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
         # the formula's cells have nonzero multiplicities, so they line up
         # with its simplices, and their corners come off the cut table; it
         # shares the slice chain's framings, so it frames only what differs
-        formula = chain.with_simplices(_from_cells(cuts, formal))
+        formula = SimplicialCurrent._trusted(chain.params, chain.degree,
+                                             _from_cells(cuts, formal), chain.quadrature_degree)
         formula._table = _Table(formula.simplices, corners=[
             tuple(cuts.ints[i] for i in cell.vertices) for cell in formal],
             framed=_framed(chain))
@@ -550,16 +554,22 @@ def _level_share(q: int, knots: list):
     (so a run of equal knots is a step).  Scaling t and the knots alike
     leaves F as it is, so ``q`` and ``knots`` are t and the f_i as ints
     over one denominator, and the triangle runs on integer pairs (num, den).
-    Returns F as such a pair, den > 0 and not reduced.
+    Returns F as such a pair, den > 0 and not reduced.  The last row but one
+    gives F'(t) = k (F(t; f_0..f_(k-1)) - F(t; f_1..f_k)) / (f_k - f_0).
     """
     if not knots[0] < q < knots[-1]:
         return int(q > knots[0]), 1
+    return _triangle(q, knots, len(knots) - 1)[0]
+
+
+def _triangle(q: int, knots: list, spans: int) -> list:
+    """Row ``spans`` of that triangle: F(t; f_i..f_(i+spans)) per i, as integer pairs."""
     row = [(int(q > p), 1) for p in knots]
-    for span in range(1, len(knots)):
+    for span in range(1, spans + 1):
         row = [(0, 1) if q <= low else (1, 1) if q >= high
                else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
                for low, high, (na, da), (nb, db) in zip(knots, knots[span:], row, row[1:])]
-    return row[0]
+    return row
 
 
 def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges) -> list:
@@ -683,6 +693,8 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     Lip(f) * mu_T(cell) / width, so the row bounds sum to the global
     denominator.  The final ratio integral / (Lip(f) * mu_T({a < f < b}))
     is at most 1 up to grid error.
+    A row's slice mass is the coarea formula's Fraction where it is exact
+    (see :func:`_coarea_mass`); other rows slice, so their floats are the slice's.
     """
     k = T.degree - 1
     if k == T.params.n:
@@ -700,7 +712,9 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     rows = []
     for i, cell in enumerate(cells):
         t = a + width * Fraction(2 * i + 1, 2)
-        m_slice = _slice(T, f, t, "+", certify=False).mass
+        m_slice = _coarea_mass(T, f, t)
+        if m_slice is None:
+            m_slice = _slice(T, f, t, "+", certify=False).mass
         bound = lip * cell / width
         rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=_ratio(m_slice, bound)))
     masses = [row.mass for row in rows]
@@ -714,6 +728,62 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     denominator = lip * _window_measures(T, f, [a, b])[0]
     return CoareaResult(rows=tuple(rows), integral=integral, lip=lip,
                         band_measure=denominator, ratio=_ratio(integral, denominator))
+
+
+def _coarea_mass(T: SimplicialCurrent, f: AffineFunction, t):
+    """M<T,f,t+> for a horizontal f in closed form, or None where the row must slice.
+
+    T's cells fold by vertex set into net multiplicities once per f.  A crossing
+    simplex S of net m adds |m| |V_S -| df| / k! F_S'(t), k = T.degree (see
+    :func:`_level_share`).  With V_S and df constant in the frame, each section
+    piece's norm is |V_S -| df|; if that is rational, the sum is the slice's
+    Fraction.  Else the row slices, as where two crossing edges meet the level
+    at one point (sections of distinct simplices could merge), on a vertex or
+    for a 0-chain.
+    """
+    dots, level = _dots(T, f), t - f.const
+    signs = dots.signs(level)
+    if T.degree < 1 or 0 in signs:
+        return None
+    ints, cells, groups = _integer_points(T), _interned(T)[1], dots.groups
+    if not groups:
+        member = {tuple(sorted(cell.vertices)): i for i, cell in enumerate(cells)}
+        groups.update((member[c.vertices], [abs(c.multiplicity), None]) for c in _merge(cells))
+    cuts, total = {}, _Sum()
+    for index, entry in groups.items():
+        if not signs[dots.low[index]] < 0 < signs[dots.high[index]]:
+            continue
+        if entry[1] is None:
+            entry[1] = _contracted_root(T, dots.coeffs, index)
+        if not entry[1]:
+            return None
+        vertices = cells[index].vertices
+        cuts.update(((u, w), _integer_cut(ints[u], ints[w], signs[u], signs[w]))
+                    for u in vertices for w in vertices
+                    if signs[u] < 0 < signs[w] and (u, w) not in cuts)
+        lcm = math.lcm(*(dots.dens[i] for i in vertices))
+        knots = sorted(dots.dots[i] * (lcm // dots.dens[i]) * level.denominator
+                       for i in vertices)
+        (na, da), (nb, db) = _triangle(level.numerator * dots.scale * lcm, knots, T.degree - 1)
+        net, (root, den) = entry
+        total.add_ratio(net.numerator * root * lcm * level.denominator * (na * db - nb * da),
+                        net.denominator * den * math.factorial(T.degree - 1)
+                        * (knots[-1] - knots[0]) * da * db)
+    return None if len(set(cuts.values())) < len(cuts) else total.value()
+
+
+def _contracted_root(T: SimplicialCurrent, coeffs: tuple, index: int):
+    """(root, den), |V_S -| df| = root / (den scale) for simplex ``index`` and f's
+    ``coeffs`` over scale, or False unless V_S is constant and root an int."""
+    tangent = _tangent_of(T, index)
+    contracted = {}
+    for blade, c in _numerators(tangent, tangent.points[0]).items():
+        for j, axis in enumerate(blade):
+            face = blade[:j] + blade[j + 1:]
+            contracted[face] = contracted.get(face, 0) + (-1) ** j * coeffs[axis] * c
+    square = sum(c * c for c in contracted.values())
+    root = math.isqrt(square)
+    return tangent.constant and root * root == square and (root, tangent.den)
 
 
 def _ratio(num, den) -> float:

@@ -12,7 +12,10 @@ x1 + 2y1, whose constant norm is sqrt(5)), four levels that hit a
 vertex (exit 2), a ``coarea`` sweep with rational
 norms, two with irrational norms (x1 + y1, and x1 + 2y1, whose slice
 masses are float sums) and the grid-3 sweep that prints
-``[FAIL]`` (exit 1), and ``report`` on each fixture.  Four more
+``[FAIL]`` (exit 1), two sweeps off the cube (x1 + 2x2 + 3y1 on the
+square, whose sqrt(5) rows come from slicing each level, and x1 on the
+segment, whose point sections take the closed-form rows), and
+``report`` on each fixture.  Four more
 ``report`` runs take a vertical or mixed f, so they read f's values at
 the vertices in the atoms (P0), the crossing test (P2) and the default
 sweep (P5): f = t on the cube with properties 0-3, and in full, where
