@@ -693,8 +693,7 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     Lip(f) * mu_T(cell) / width, so the row bounds sum to the global
     denominator.  The final ratio integral / (Lip(f) * mu_T({a < f < b}))
     is at most 1 up to grid error.
-    A row's slice mass is the coarea formula's Fraction where it is exact
-    (see :func:`_coarea_mass`); other rows slice, so their floats are the slice's.
+    A row's mass is the coarea formula's Fraction where exact (:func:`_coarea_mass`), else sliced.
     """
     k = T.degree - 1
     if k == T.params.n:
@@ -735,11 +734,8 @@ def _coarea_mass(T: SimplicialCurrent, f: AffineFunction, t):
 
     T's cells fold by vertex set into net multiplicities once per f.  A crossing
     simplex S of net m adds |m| |V_S -| df| / k! F_S'(t), k = T.degree (see
-    :func:`_level_share`).  With V_S and df constant in the frame, each section
-    piece's norm is |V_S -| df|; if that is rational, the sum is the slice's
-    Fraction.  Else the row slices, as where two crossing edges meet the level
-    at one point (sections of distinct simplices could merge), on a vertex or
-    for a 0-chain.
+    :func:`_level_share`): the slice's Fraction when every crosser's V_S is constant
+    and |V_S -| df| rational, and no two crossing edges meet the level at one point.
     """
     dots, level = _dots(T, f), t - f.const
     signs = dots.signs(level)
@@ -749,33 +745,36 @@ def _coarea_mass(T: SimplicialCurrent, f: AffineFunction, t):
     if not groups:
         member = {tuple(sorted(cell.vertices)): i for i, cell in enumerate(cells)}
         groups.update((member[c.vertices], [abs(c.multiplicity), None]) for c in _merge(cells))
-    cuts, total = {}, _Sum()
-    for index, entry in groups.items():
-        if not signs[dots.low[index]] < 0 < signs[dots.high[index]]:
-            continue
+    crossing = [(index, entry) for index, entry in groups.items()
+                if signs[dots.low[index]] < 0 < signs[dots.high[index]]]
+    for index, entry in crossing:
         if entry[1] is None:
             entry[1] = _contracted_root(T, dots.coeffs, index)
         if not entry[1]:
             return None
+    edges = {(u, w) for index, _ in crossing for u in cells[index].vertices
+             for w in cells[index].vertices if signs[u] < 0 < signs[w]}
+    if len({_integer_cut(ints[u], ints[w], signs[u], signs[w]) for u, w in edges}) < len(edges):
+        return None
+    total = _Sum()
+    for index, (net, (root, den)) in crossing:
         vertices = cells[index].vertices
-        cuts.update(((u, w), _integer_cut(ints[u], ints[w], signs[u], signs[w]))
-                    for u in vertices for w in vertices
-                    if signs[u] < 0 < signs[w] and (u, w) not in cuts)
         lcm = math.lcm(*(dots.dens[i] for i in vertices))
         knots = sorted(dots.dots[i] * (lcm // dots.dens[i]) * level.denominator
                        for i in vertices)
         (na, da), (nb, db) = _triangle(level.numerator * dots.scale * lcm, knots, T.degree - 1)
-        net, (root, den) = entry
         total.add_ratio(net.numerator * root * lcm * level.denominator * (na * db - nb * da),
                         net.denominator * den * math.factorial(T.degree - 1)
                         * (knots[-1] - knots[0]) * da * db)
-    return None if len(set(cuts.values())) < len(cuts) else total.value()
+    return total.value()
 
 
 def _contracted_root(T: SimplicialCurrent, coeffs: tuple, index: int):
     """(root, den), |V_S -| df| = root / (den scale) for simplex ``index`` and f's
     ``coeffs`` over scale, or False unless V_S is constant and root an int."""
     tangent = _tangent_of(T, index)
+    if not tangent.constant:
+        return False
     contracted = {}
     for blade, c in _numerators(tangent, tangent.points[0]).items():
         for j, axis in enumerate(blade):
@@ -783,7 +782,7 @@ def _contracted_root(T: SimplicialCurrent, coeffs: tuple, index: int):
             contracted[face] = contracted.get(face, 0) + (-1) ** j * coeffs[axis] * c
     square = sum(c * c for c in contracted.values())
     root = math.isqrt(square)
-    return tangent.constant and root * root == square and (root, tangent.den)
+    return root * root == square and (root, tangent.den)
 
 
 def _ratio(num, den) -> float:
