@@ -41,11 +41,11 @@ A level t = p/q gives each vertex the int dot q - p scale den
 refusal and the crossing test read these ints.  A level-window measure
 places each vertex among the window's levels on ints, takes a simplex S
 it cuts as M(S) (F(hi) - F(lo)) in closed form where S's mass scales
-with parameter volume (see :func:`_level_share`, on ints), and clips
-the others; the whole masses M(S) are kept in the table too.  A window
-sums its exact terms on ints per denominator, M(S) (F(hi) - F(lo)) with
-F as an integer pair, and makes one Fraction per denominator at the end
-(see :class:`ruminslice.currents._Sum`).
+with parameter volume (F's integer pieces, :class:`_Spline`, and the
+whole masses M(S) are kept in the table too), and clips the others.  A
+window sums its exact terms on ints per denominator, with F as an
+integer pair, and makes one Fraction per denominator at the end (see
+:class:`ruminslice.currents._Sum`).
 
 A slice clips, merges and cancels on integer vertex ids, not on
 coordinate tuples.  The chain's vertices, sorted once, are numbered in
@@ -239,8 +239,8 @@ class _Dots(NamedTuple):
     :func:`ruminslice.currents._integer_points`), so coeffs . v =
     ``dots[v]`` / (scale * dens[v]).  ``rank`` numbers the distinct
     values of coeffs . v in ascending order, equal values alike, and
-    ``low`` and ``high`` hold, per cell, a vertex id where the cell's
-    value is least and one where it is greatest.  Sweeps fill ``groups``.
+    ``low`` and ``high`` hold, per cell, a vertex id where the cell's value
+    is least and one where it is greatest.  Sweeps fill ``groups`` and ``splines``.
     """
 
     scale: int
@@ -251,6 +251,7 @@ class _Dots(NamedTuple):
     low: list
     high: list
     groups: dict
+    splines: dict
 
     def signs(self, level: Fraction) -> list:
         """Per vertex id, an int with the sign of coeffs . v - ``level``.
@@ -264,6 +265,14 @@ class _Dots(NamedTuple):
     def value(self, vertex: int) -> Fraction:
         """coeffs . v at vertex id ``vertex``."""
         return Fraction(self.dots[vertex], self.scale * self.dens[vertex])
+
+    def spline(self, index: int, vertices: tuple) -> _Spline:
+        """Cell ``index``'s :class:`_Spline`, made once from its vertex ids ``vertices``."""
+        if index not in self.splines:
+            lcm = math.lcm(*(self.dens[i] for i in vertices))
+            knots = sorted(self.dots[i] * (lcm // self.dens[i]) for i in vertices)
+            self.splines[index] = _Spline(knots, self.scale * lcm, {})
+        return self.splines[index]
 
 
 def _dots(T: SimplicialCurrent, f: AffineFunction) -> _Dots:
@@ -287,7 +296,7 @@ def _dots(T: SimplicialCurrent, f: AffineFunction) -> _Dots:
         entry = functions[f.coeffs] = _Dots(
             scale, ints, dots, dens, rank,
             [min(cell.vertices, key=rank.__getitem__) for cell in cells],
-            [max(cell.vertices, key=rank.__getitem__) for cell in cells], {})
+            [max(cell.vertices, key=rank.__getitem__) for cell in cells], {}, {})
     return entry
 
 
@@ -366,17 +375,21 @@ class _Clip(NamedTuple):
     split: list
 
 
-def _clip_level(T: SimplicialCurrent, f: AffineFunction, t) -> _Clip:
-    """Clip the simplices of T the generic level t crosses, once for both sides.
+def _at_level(T: SimplicialCurrent, f: AffineFunction, t) -> tuple:
+    """(T's :class:`_Dots` for f, {f > t}, :meth:`_Dots.signs` at t); no refusal."""
+    dots, above = _dots(T, f), f.halfspace(t, ">")
+    return dots, above, dots.signs(above.const)
+
+
+def _clip_level(T: SimplicialCurrent, f: AffineFunction, t, level=None) -> _Clip:
+    """Clip the simplices of T the generic level t crosses, once for both sides,
+    on ``level`` (see :func:`_at_level`) where the caller holds it already.
 
     Refuses a level on a vertex, and checks that every cut point is on
     the level (coeffs . n q = p scale den on ints), once per point.
     """
-    dots = _dots(T, f)
+    dots, above, signs = level or _at_level(T, f, t)
     points, cells = _interned(T)
-    above = f.halfspace(t, ">")
-    level = above.const
-    signs = dots.signs(level)
     if 0 in signs:
         shown = "(" + ", ".join(str(c) for c in points[signs.index(0)]) + ")"
         raise DegenerateLevelError(
@@ -390,7 +403,7 @@ def _clip_level(T: SimplicialCurrent, f: AffineFunction, t) -> _Clip:
         if signs[low] < 0 < signs[high]:
             shifted = tuple(signs[i] for i in cell.vertices)
             split.append((cell, shifted, _split(cell.vertices, above, shifted, cut=cuts)))
-    q, shift = level.denominator, level.numerator * dots.scale
+    q, shift = above.const.denominator, above.const.numerator * dots.scale
     if any(sum(map(mul, dots.coeffs, nums)) * q != shift * den
            for nums, den in cuts.ints[cuts.first:]):
         raise InternalInvariantError("a cut point is off the level")
@@ -398,13 +411,13 @@ def _clip_level(T: SimplicialCurrent, f: AffineFunction, t) -> _Clip:
 
 
 def _slice(T: SimplicialCurrent, f: AffineFunction, t, side: str,
-           certify: bool = True, clip=None) -> SliceResult:
+           certify: bool = True, clip=None, level=None) -> SliceResult:
     """The slice of T at t on ``side``, from ``clip`` (see :func:`_clip_level`)
-    when the caller holds the level's clip already."""
+    or ``level`` (see :func:`_at_level`) when the caller holds either already."""
     if T.degree < 1:
         raise ParameterError("cannot slice a 0-chain")
     if clip is None:
-        clip = _clip_level(T, f, t)
+        clip = _clip_level(T, f, t, level)
     plus = side == "+"
     cuts = clip.cuts
     crossing = [(cell, shifted, pieces[0 if plus else 1]) for cell, shifted, pieces in clip.split]
@@ -544,49 +557,85 @@ def measure_between(T: SimplicialCurrent, f: AffineFunction, lo, hi):
     return _window_measures(T, f, [lo, hi])[0] if lo < hi else Fraction(0)
 
 
-def _level_share(q: int, knots: list):
-    """The share F(t) of a simplex's parameter volume where f < t.
+class _Spline(NamedTuple):
+    """The share F(t) of a simplex's parameter volume where f < t: the cumulative of the
+    simplex spline on the sorted ``knots`` f_0..f_k, f at the vertices as ints over ``scale``
+    (Curry and Schoenberg 1966), a polynomial between distinct knots kept in ``pieces``."""
 
-    F is the cumulative of the simplex spline on the sorted ``knots``
-    f_0..f_k, f at the vertices (Curry and Schoenberg 1966), by de Boor's
-    triangle F(t; f_i..f_j) = [(t - f_i) F(t; f_i..f_(j-1)) + (f_j - t)
-    F(t; f_(i+1)..f_j)] / (f_j - f_i), 0 for t <= f_i and 1 for t >= f_j
-    (so a run of equal knots is a step).  Scaling t and the knots alike
-    leaves F as it is, so ``q`` and ``knots`` are t and the f_i as ints
-    over one denominator, and the triangle runs on integer pairs (num, den).
-    Returns F as such a pair, den > 0 and not reduced.  The last row but one
-    gives F'(t) = k (F(t; f_0..f_(k-1)) - F(t; f_1..f_k)) / (f_k - f_0).
-    """
-    if not knots[0] < q < knots[-1]:
-        return int(q > knots[0]), 1
-    return _triangle(q, knots, len(knots) - 1)[0]
+    knots: list
+    scale: int
+    pieces: dict
+
+    def share(self, p: int, q: int) -> tuple:
+        """F(p/q) as an integer pair (num, den), den > 0 and not reduced."""
+        x, knots = p * self.scale, self.knots
+        if not knots[0] * q < x < knots[-1] * q:
+            return int(x > knots[0] * q), 1
+        coeffs, den = self._piece_at(x, q)
+        return _horner(coeffs, x, q), den * q ** (len(coeffs) - 1)
+
+    def density(self, p: int, q: int) -> tuple:
+        """F'(p/q) as an integer pair: 0 off (f_0, f_k], from the left on a knot."""
+        x, knots = p * self.scale, self.knots
+        if not knots[0] * q < x <= knots[-1] * q:
+            return 0, 1
+        coeffs, den = self._piece_at(x, q)
+        slopes = [m * c for m, c in enumerate(coeffs)][1:]
+        return self.scale * _horner(slopes, x, q), den * q ** (len(slopes) - 1)
+
+    def _piece_at(self, x: int, q: int) -> tuple:
+        """The piece of the knot interval (f_s, f_(s+1)] holding x / q, f_0 < x / q <= f_k."""
+        # s + 1 knots lie below x / q: as ints, those below its ceiling
+        s = bisect_left(self.knots, -(-x // q)) - 1
+        if s not in self.pieces:
+            self.pieces[s] = _piece(self.knots, s)
+        return self.pieces[s]
 
 
-def _triangle(q: int, knots: list, spans: int) -> list:
-    """Row ``spans`` of that triangle: F(t; f_i..f_(i+spans)) per i, as integer pairs."""
-    row = [(int(q > p), 1) for p in knots]
-    for span in range(1, spans + 1):
-        row = [(0, 1) if q <= low else (1, 1) if q >= high
-               else ((q - low) * na * db + (high - q) * nb * da, (high - low) * da * db)
-               for low, high, (na, da), (nb, db) in zip(knots, knots[span:], row, row[1:])]
-    return row
+def _piece(knots: list, s: int) -> tuple:
+    """F = sum c_m x^m / den on (knots[s], knots[s + 1]) as ([c_0..c_k], den), by de
+    Boor's triangle F(x; f_i..f_j) = [(x - f_i) F(x; f_i..f_(j-1)) + (f_j - x)
+    F(x; f_(i+1)..f_j)] / (f_j - f_i) on int polynomials: 1 for j <= s, 0 for i > s."""
+    row = [([int(i <= s)], 1) for i in range(len(knots))]
+    for span in range(1, len(knots)):
+        next_row = []
+        for i, ((ca, da), (cb, db)) in enumerate(zip(row, row[1:])):
+            if i <= s < i + span:
+                low, high = knots[i], knots[i + span]
+                # (x - low) ca db + (high - x) cb da; xa, xb: the coefficients of x ca, x cb
+                coeffs = [da * (high * v - xb) - db * (low * u - xa)
+                          for u, v, xa, xb in zip(ca + [0], cb + [0], [0] + ca, [0] + cb)]
+                den = (high - low) * da * db
+                common = math.gcd(den, *coeffs)
+                next_row.append(([c // common for c in coeffs], den // common))
+            else:
+                next_row.append(([int(i + span <= s)] + [0] * span, 1))
+        row = next_row
+    return row[0]
 
 
-def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges) -> list:
-    """mu_T({e_i < f < e_(i+1)}) for each pair of consecutive ascending ``edges``.
+def _horner(coeffs: list, x: int, q: int) -> int:
+    """sum c_m x^m q^(n-1-m) over the n ``coeffs``: the polynomial at x / q times q^(n-1)."""
+    total, power = 0, 1
+    for c in reversed(coeffs):
+        total, power = total * x + c * power, power * q
+    return total
 
-    A simplex adds its whole mass to a window it lies in.  In a window it
-    crosses, it adds M(S) (F(hi) - F(lo)) if it scales (see :func:`_whole`)
-    and the window's total is still exact, else its clip pieces'
-    masses: exact sums do not depend on order, so every total is the
-    float or Fraction M(restrict_to_set(T, window)) gives.  The levels
-    are ints over their common denominator, each vertex is placed among
-    them once on ints, and a simplex's windows are read off the places
-    of its least and greatest vertex; F runs on the levels and the
-    simplex's vertex values as ints over one denominator.  The whole
-    masses come from T's table, so every call on T shares them.  Each
-    window sums its exact terms on ints per denominator, the scaled
-    shares with no Fraction at all (see :class:`ruminslice.currents._Sum`).
+
+def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges) -> tuple:
+    """mu_T({e_0 < f < e_last}) and [mu_T({e_i < f < e_(i+1)})] for ascending ``edges``.
+
+    The whole window is one more total of the same pass (the one
+    window's own when there is one).  A simplex adds its whole mass to a
+    total whose window it lies in.  In a window it crosses, it adds M(S)
+    (F(hi) - F(lo)) if it scales (see :func:`_whole`) and the total is
+    still exact, else its clip pieces' masses: exact sums do not depend
+    on order, so every total is the float or Fraction
+    M(restrict_to_set(T, window)) gives.  Each vertex is placed among the
+    levels once on ints, and a simplex's windows are read off the places
+    of its least and greatest vertex.  F (:class:`_Spline`) and the whole
+    masses are kept in T's table, and each total sums its exact terms on
+    ints per denominator (see :class:`ruminslice.currents._Sum`).
     """
     levels = [e - f.const for e in edges]
     common = math.lcm(*(level.denominator for level in levels))
@@ -602,35 +651,39 @@ def _window_measures(T: SimplicialCurrent, f: AffineFunction, edges) -> list:
         below.append(count if part else bisect_left(ints, whole))
     windows = len(levels) - 1
     totals = [_Sum() for _ in range(windows)]
+    whole = totals[0] if windows == 1 else _Sum()
     for index, (cell, low, high) in enumerate(zip(_interned(T)[1], f_at.low, f_at.high)):
-        # the windows (levels[i], levels[i + 1]) that meet the cell's range
-        first = max(at_most[low] - 1, 0)
-        last = min(below[high], windows)
-        if first >= last:
-            continue
+        start, stop = at_most[low], below[high]
+        if start > windows or stop == 0:
+            continue  # the cell lies in {f <= e_0} or in {f >= e_last}
+        first, last = max(start - 1, 0), min(stop, windows)
+        # (total, i, j): the cell's term in {e_i < f < e_j}
+        terms = [(totals[i], i, i + 1) for i in range(first, last)]
+        if windows > 1:
+            terms.append((whole, 0, windows))
         s = T.simplices[index]
         value, scales = _whole(T, index)
-        if last - first == 1 and at_most[low] > 0 and below[high] <= windows:
-            _add_weighted(totals[first], s.multiplicity, value)
-            continue
-        if scales:
-            # f = dot / (scale den) at a vertex, over scale * lcm(dens) * common
-            lcm = math.lcm(*(dens[i] for i in cell.vertices))
-            knots = sorted(dots[i] * (lcm // dens[i]) * common for i in cell.vertices)
-            shares = [_level_share(q * scale * lcm, knots) for q in ints[first:last + 1]]
-            # |mult| M(S) as ints, a scaling mass being a Fraction
-            mass_num = abs(s.multiplicity.numerator) * value.numerator
-            mass_den = s.multiplicity.denominator * value.denominator
-        for i in range(first, last):
-            if scales and totals[i].exact():
-                (n0, d0), (n1, d1) = shares[i - first], shares[i + 1 - first]
-                totals[i].add_ratio(mass_num * (n1 * d0 - n0 * d1), mass_den * d0 * d1)
-                continue
-            weight = abs(s.multiplicity)
-            planes = [f.halfspace(edges[i], ">"), f.halfspace(edges[i + 1], "<")]
-            for piece in restrict_to_set(T.with_simplices([s]), planes).simplices:
-                totals[i].add(weight * _simplex_mass(T.params, piece, T.quadrature_degree))
-    return [total.value() for total in totals]
+        shares = None
+        for total, i, j in terms:
+            if start > i and stop <= j:  # the cell lies in [e_i, e_j]
+                _add_weighted(total, s.multiplicity, value)
+            elif scales and total.exact():
+                if shares is None:
+                    spline = f_at.spline(index, cell.vertices)
+                    shares = [spline.share(p, common) for p in ints[first:last + 1]]
+                    # |mult| M(S) as ints, a scaling mass being a Fraction
+                    mass_num = abs(s.multiplicity.numerator) * value.numerator
+                    mass_den = s.multiplicity.denominator * value.denominator
+                # F is 0 at the levels below the cell's first and 1 above its last
+                n0, d0 = shares[i - first] if i >= first else (0, 1)
+                n1, d1 = shares[j - first] if j <= last else (1, 1)
+                total.add_ratio(mass_num * (n1 * d0 - n0 * d1), mass_den * d0 * d1)
+            else:
+                weight = abs(s.multiplicity)
+                planes = [f.halfspace(edges[i], ">"), f.halfspace(edges[j], "<")]
+                for piece in restrict_to_set(T.with_simplices([s]), planes).simplices:
+                    total.add(weight * _simplex_mass(T.params, piece, T.quadrature_degree))
+    return whole.value(), [total.value() for total in totals]
 
 
 def band_trend(T: SimplicialCurrent, f: AffineFunction, t, h_values):
@@ -707,13 +760,14 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
         raise ParameterError("need a < b")
     width = (b - a) / grid
     lip = f.lipschitz_constant()
-    cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)])
+    whole, cells = _window_measures(T, f, [a + width * i for i in range(grid + 1)])
     rows = []
     for i, cell in enumerate(cells):
         t = a + width * Fraction(2 * i + 1, 2)
-        m_slice = _coarea_mass(T, f, t)
+        level = _at_level(T, f, t)
+        m_slice = _coarea_mass(T, level)
         if m_slice is None:
-            m_slice = _slice(T, f, t, "+", certify=False).mass
+            m_slice = _slice(T, f, t, "+", certify=False, level=level).mass
         bound = lip * cell / width
         rows.append(CoareaRow(t=t, mass=m_slice, band_bound=bound, ratio=_ratio(m_slice, bound)))
     masses = [row.mass for row in rows]
@@ -722,23 +776,23 @@ def coarea_sweep(T: SimplicialCurrent, f: AffineFunction, a, b, grid: int) -> Co
     for left, right in zip(masses, masses[1:]):
         integral = integral + (left + right) * width / 2
     integral = integral + masses[0] * width / 2 + masses[-1] * width / 2
-    # its own window, not the sum of the cells: an atom on a cell edge
+    # the whole window, not the sum of the cells: an atom on a cell edge
     # counts in (a, b) and in no cell
-    denominator = lip * _window_measures(T, f, [a, b])[0]
+    denominator = lip * whole
     return CoareaResult(rows=tuple(rows), integral=integral, lip=lip,
                         band_measure=denominator, ratio=_ratio(integral, denominator))
 
 
-def _coarea_mass(T: SimplicialCurrent, f: AffineFunction, t):
+def _coarea_mass(T: SimplicialCurrent, level: tuple):
     """M<T,f,t+> for a horizontal f in closed form, or None where the row must slice.
 
     T's cells fold by vertex set into net multiplicities once per f.  A crossing
     simplex S of net m adds |m| |V_S -| df| / k! F_S'(t), k = T.degree (see
-    :func:`_level_share`): the slice's Fraction when every crosser's V_S is constant
-    and |V_S -| df| rational, and no two crossing edges meet the level at one point.
+    :class:`_Spline`) at ``level`` (see :func:`_at_level`): the slice's Fraction when
+    every crosser's V_S is constant and |V_S -| df| rational, and no two crossing
+    edges meet the level at one point.
     """
-    dots, level = _dots(T, f), t - f.const
-    signs = dots.signs(level)
+    dots, above, signs = level
     if T.degree < 1 or 0 in signs:
         return None
     ints, cells, groups = _integer_points(T), _interned(T)[1], dots.groups
@@ -756,16 +810,12 @@ def _coarea_mass(T: SimplicialCurrent, f: AffineFunction, t):
              for w in cells[index].vertices if signs[u] < 0 < signs[w]}
     if len({_integer_cut(ints[u], ints[w], signs[u], signs[w]) for u, w in edges}) < len(edges):
         return None
+    p, q = above.const.numerator, above.const.denominator
+    over = dots.scale * math.factorial(T.degree)  # |V_S -| df| = root / (den scale), over k!
     total = _Sum()
     for index, (net, (root, den)) in crossing:
-        vertices = cells[index].vertices
-        lcm = math.lcm(*(dots.dens[i] for i in vertices))
-        knots = sorted(dots.dots[i] * (lcm // dots.dens[i]) * level.denominator
-                       for i in vertices)
-        (na, da), (nb, db) = _triangle(level.numerator * dots.scale * lcm, knots, T.degree - 1)
-        total.add_ratio(net.numerator * root * lcm * level.denominator * (na * db - nb * da),
-                        net.denominator * den * math.factorial(T.degree - 1)
-                        * (knots[-1] - knots[0]) * da * db)
+        num, slope_den = dots.spline(index, cells[index].vertices).density(p, q)
+        total.add_ratio(net.numerator * root * num, net.denominator * den * over * slope_den)
     return total.value()
 
 

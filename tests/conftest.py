@@ -204,8 +204,13 @@ class FractionCutPoints:
 
 
 def fraction_level_share(t, knots):
-    """F(t) of :func:`ruminslice.slicing._level_share` for a Fraction t and
-    sorted Fraction knots, scaled to ints by their lcm at each call."""
+    """F(t), the share of a simplex's parameter volume where f < t, for a
+    Fraction t and the sorted Fraction knots f_0..f_k, f at its vertices:
+    the cumulative of the simplex spline by de Boor's triangle
+    F(t; f_i..f_j) = [(t - f_i) F(t; f_i..f_(j-1)) + (f_j - t)
+    F(t; f_(i+1)..f_j)] / (f_j - f_i), 0 for t <= f_i and 1 for t >= f_j,
+    run on integer pairs with t and the knots scaled to ints by their lcm
+    at each call.  The oracle of :meth:`ruminslice.slicing._Spline.share`."""
     from fractions import Fraction
     from math import lcm
 
@@ -222,14 +227,25 @@ def fraction_level_share(t, knots):
     return Fraction(*row[0])
 
 
-def fraction_slice(T, f, t, side, certify=True, clip=None):
+def fraction_level_density(t, knots):
+    """F'(t) = k (F(t; f_0..f_(k-1)) - F(t; f_1..f_k)) / (f_k - f_0) for
+    sorted Fraction knots with f_0 < f_k, F as :func:`fraction_level_share`
+    gives it (so from the left on a knot).  The oracle of
+    :meth:`ruminslice.slicing._Spline.density`."""
+    k = len(knots) - 1
+    return (k * (fraction_level_share(t, knots[:-1]) - fraction_level_share(t, knots[1:]))
+            / (knots[-1] - knots[0]))
+
+
+def fraction_slice(T, f, t, side, certify=True, clip=None, level=None):
     """``slicing._slice`` with every level decision on Fractions.
 
     f is evaluated at the interned vertices as Fractions, the generic-level
     refusal and the crossing test compare Fractions, each cut point is
     ``clipping._cut_point``, and each is checked on the level with
-    ``HalfSpace.value``.  ``clip`` is accepted for the library's call
-    sites and ignored: the table and the clip are built afresh.
+    ``HalfSpace.value``.  ``clip`` and ``level`` are accepted for the
+    library's call sites and ignored: the table and the clip are built
+    afresh.
     """
     from ruminslice import DegenerateLevelError, InternalInvariantError, ParameterError
     from ruminslice import SimplicialCurrent, mass
@@ -277,12 +293,20 @@ def fraction_slice(T, f, t, side, certify=True, clip=None):
 
 
 def fraction_window_measures(T, f, edges):
-    """``slicing._window_measures`` with every level decision on Fractions.
+    """``slicing._window_measures`` with every level decision on Fractions:
+    mu_T({e_0 < f < e_last}), as its own window, and the list of
+    mu_T({e_i < f < e_(i+1)}).
 
     The levels are bisected against each simplex's Fraction range, the
     shares are :func:`fraction_level_share` on the Fraction vertex values,
     and each whole mass is computed afresh.
     """
+    return (fraction_windows(T, f, [edges[0], edges[-1]])[0],
+            fraction_windows(T, f, edges))
+
+
+def fraction_windows(T, f, edges):
+    """mu_T({e_i < f < e_(i+1)}) per pair of consecutive ``edges``, on Fractions."""
     from bisect import bisect_left, bisect_right
     from fractions import Fraction
 

@@ -9,12 +9,15 @@ density of f's values at S's vertices.  Every other row slices.  These
 tests hold every row to the mass of ``conftest.fraction_slice`` at its
 midpoint, value and type alike, on generated chains over H^1 and H^2
 with repeated, reordered and cancelling cells, and check which rows
-slice.  Two faults in the closed form must fail the same comparison.
+slice.  Three faults must fail the same comparison: an off-by-one knot
+interval in the cached spline pieces (which must fail the window
+measures too), a sign-flipped density and a net summed as |m| per cell.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture, fraction_slice, fraction_tangent, fraction_tangent_at
+import test_exact_sums
 
 from ruminslice import (
     AffineFunction,
@@ -219,16 +223,43 @@ def cancelling_cube():
     return T.with_simplices(T.simplices + tuple(extra))
 
 
+def generic_tetrahedron():
+    """One tetrahedron of H^1 whose vertices take four distinct values of
+    3 x1 + 4 y1: every knot interval of its spline is nonempty."""
+    vertices = ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 3))
+    return SimplicialCurrent(HeisParams(1), 3, [Simplex(tuple(
+        tuple(F(c) for c in v) for v in vertices))])
+
+
+def test_an_off_by_one_interval_fails_the_rows_and_the_windows(monkeypatch):
+    # on repeated knots the interval above may be empty and its piece
+    # divide by zero: these cases have none, so the fault gives wrong values
+    T, f = generic_tetrahedron(), AffineFunction((F(3), F(4), F(0)))
+    assert assert_rows_are_the_slices(T, f, F(0), F(7), 5, monkeypatch) == []
+
+    def next_interval(self, x, q):
+        # the piece of the knot interval above the one that holds x / q,
+        # built afresh: the kept pieces are not read
+        return slicing._piece(self.knots, bisect_left(self.knots, -(-x // q)))
+
+    monkeypatch.setattr(slicing._Spline, "_piece_at", next_interval)
+    with pytest.raises(AssertionError):
+        assert_rows_are_the_slices(T, f, F(0), F(7), 5, monkeypatch)
+    with pytest.raises(AssertionError):
+        test_exact_sums.test_window_measures_are_the_fraction_oracle(
+            "exact", (1, 1, 1), F(1, 7), [F(1, 3), F(2, 3), F(1), F(3, 2), F(2)])
+
+
 def test_a_flipped_density_fails_the_rows(monkeypatch):
     T, f = fixture("cube_h1.json"), AffineFunction((F(3), F(4), F(0)))
     assert assert_rows_are_the_slices(T, f, F(1), F(6), 5, monkeypatch) == []
-    original = slicing._triangle
+    original = slicing._Spline.density
 
-    def flipped(q, knots, spans):
-        # the last row but one, reversed: the density's difference flips sign
-        return original(q, knots, spans)[::-1]
+    def flipped(self, p, q):
+        num, den = original(self, p, q)
+        return -num, den
 
-    monkeypatch.setattr(slicing, "_triangle", flipped)
+    monkeypatch.setattr(slicing._Spline, "density", flipped)
     with pytest.raises(AssertionError):
         assert_rows_are_the_slices(T, f, F(1), F(6), 5, monkeypatch)
 

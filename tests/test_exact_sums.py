@@ -98,10 +98,12 @@ def test_mass_is_the_fraction_oracle(name):
 def test_window_measures_are_the_fraction_oracle(name, coeffs, const, edges):
     # windows cut exact and float simplices, in the order the chain holds
     # them: an exact simplex after a float one goes through its clip pieces
+    # the whole window, folded into the same pass, is the oracle's own window
     T = CHAINS[name]
     f = AffineFunction(coeffs, const)
-    ours = _window_measures(T, f, edges)
-    theirs = fraction_window_measures(T, f, edges)
+    (whole, ours), (expected, theirs) = (_window_measures(T, f, edges),
+                                         fraction_window_measures(T, f, edges))
+    assert_same(whole, expected)
     assert len(ours) == len(theirs) == len(edges) - 1
     for a, b in zip(ours, theirs):
         assert_same(a, b)
@@ -111,8 +113,9 @@ def test_the_mixed_windows_hold_both_kinds():
     # the cases above do reach floats after exact terms and exact terms alone
     T = CHAINS["exact, float, exact"]
     f = AffineFunction((1, 1, 1), F(1, 7))
-    kinds = {type(m) for m in _window_measures(T, f, [F(1, 3), F(1), F(2)])}
-    assert kinds == {float}
+    whole, cells = _window_measures(T, f, [F(1, 3), F(1), F(2)])
+    assert {type(m) for m in cells + [whole]} == {float}
     S = CHAINS["exact"]
     g = AffineFunction((0, 1, 0))
-    assert {type(m) for m in _window_measures(S, g, [F(-1), F(1, 2), F(2)])} == {F}
+    whole, cells = _window_measures(S, g, [F(-1), F(1, 2), F(2)])
+    assert {type(m) for m in cells + [whole]} == {F}

@@ -2,9 +2,11 @@
 
 A window measure takes a simplex the window cuts as its whole mass times
 F(hi) - F(lo), where F(t) is the share of the simplex's parameter volume
-where f < t, the cumulative of the simplex spline on f's vertex values.
+where f < t, the cumulative of the simplex spline on f's vertex values,
+read off the simplex's cached polynomial pieces (``slicing._Spline``).
 These tests hold F to the parameter volumes of the clip pieces, computed
-from their own edge minors, and hold whole windows, with levels on and
+from their own edge minors, hold F and F' to de Boor's triangle on
+Fractions (``conftest``), and hold whole windows, with levels on and
 between the vertex values, to the mass of the restricted chain.
 """
 
@@ -13,21 +15,36 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture, fraction_level_share
+from conftest import fixture, fraction_level_density, fraction_level_share, fraction_window_measures
 from test_sections import assert_same_number
 from test_sweep_kernel import affine, cube_mesh, oracle_between
 
-from ruminslice import HalfSpace, Simplex, boundary, mass
+from ruminslice import (
+    AffineFunction,
+    HalfSpace,
+    HeisParams,
+    Simplex,
+    SimplicialCurrent,
+    boundary,
+    coarea_sweep,
+    mass,
+)
 from ruminslice.clipping import _split
 from ruminslice.currents import _edge_kvector
-from ruminslice.slicing import _level_share, measure_between
+from ruminslice.slicing import _Spline, measure_between
 
 F = Fraction
 
 KNOT = st.sampled_from([F(-1), F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 3)])
+
+
+def spline_of(knots):
+    """The :class:`_Spline` of the sorted Fraction ``knots``, as ints over their lcm."""
+    common = math.lcm(*(knot.denominator for knot in knots))
+    return _Spline([knot.numerator * (common // knot.denominator) for knot in knots], common, {})
 
 
 def volume(vertices):
@@ -50,13 +67,34 @@ def test_level_share_is_the_clip_pieces_volume(data, k):
     hs = HalfSpace(tuple(knot - knots[0] for knot in knots[1:]), t - knots[0], "<")
     kept, _ = _split(tuple(vertices), hs, tuple(hs.value(v) for v in vertices))
     expected = sum((volume(piece) for piece, _ in kept), F(0)) / volume(vertices)
-    # t and the knots as ints over their lcm, as the window measure scales them
-    common = math.lcm(t.denominator, *(knot.denominator for knot in knots))
-    num, den = _level_share(t.numerator * (common // t.denominator),
-                            sorted(knot.numerator * (common // knot.denominator) for knot in knots))
+    num, den = spline_of(sorted(knots)).share(t.numerator, t.denominator)
     assert isinstance(num, int) and isinstance(den, int) and den > 0
     assert F(num, den) == expected, (knots, t, (num, den), expected)
     assert F(num, den) == fraction_level_share(t, sorted(knots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=5))
+def test_cached_pieces_are_the_triangle(data, k):
+    # degree 1 to 5, the top degree of a simplex over H^2, on knots that
+    # repeat; one spline reads several levels, on knots and off its range,
+    # so later levels read pieces that earlier ones built
+    knots = sorted(data.draw(st.lists(KNOT, min_size=k + 1, max_size=k + 1)))
+    assume(knots[0] < knots[-1])
+    spline = spline_of(knots)
+    levels = data.draw(st.lists(st.one_of(
+        st.sampled_from(knots),
+        st.fractions(min_value=knots[0] - 1, max_value=knots[-1] + 1, max_denominator=12)),
+        min_size=1, max_size=6))
+    for t in levels:
+        share = spline.share(t.numerator, t.denominator)
+        density = spline.density(t.numerator, t.denominator)
+        for num, den in (share, density):
+            assert isinstance(num, int) and isinstance(den, int) and den > 0
+        assert F(*share) == fraction_level_share(t, knots), (knots, t)
+        assert F(*density) == fraction_level_density(t, knots), (knots, t)
+    # a piece per knot interval, each between two distinct knots
+    assert all(0 <= s < k and spline.knots[s] < spline.knots[s + 1] for s in spline.pieces)
 
 
 CHAINS = {
@@ -97,3 +135,29 @@ def test_an_atom_on_an_edge_counts_in_no_window_it_ends():
     assert whole - measure_between(bdry, f, -1, 0) - measure_between(bdry, f, 0, 1) == atom
     assert measure_between(bdry, f, -1, 0) == 0
     assert math.isclose(whole, 5.158, abs_tol=1e-3)
+
+
+def segment(a, b):
+    return Simplex((tuple(F(c) for c in a), tuple(F(c) for c in b)))
+
+
+def test_the_sweep_denominator_holds_an_atom_on_an_inner_cell_edge():
+    # a segment inside x1 = 1/2 lies on the edge between the sweep's two
+    # cells: it counts in mu_T({0 < x1 < 1}), which the sweep folds into
+    # the pass over its cells, and in neither cell.  The segments are
+    # horizontal, so every measure is exact
+    atom = segment((F(1, 2), 0, 0), (F(1, 2), 1, F(1, 4)))
+    T = SimplicialCurrent(HeisParams(1), 1, [
+        segment((0, 0, 0), (1, 0, 0)), atom, segment((0, 1, 0), (1, 2, 0))])
+    f = AffineFunction((F(1), F(0), F(0)))
+    a, b, grid = F(0), F(1), 2
+    result = coarea_sweep(T, f, a, b, grid)
+    width, lip = (b - a) / grid, result.lip
+    cells = [row.band_bound * width / lip for row in result.rows]
+    atom_mass = mass(T.with_simplices([atom]))
+    assert atom_mass == 1
+    assert result.band_measure / lip == sum(cells) + atom_mass
+    assert result.band_measure == lip * fraction_window_measures(T, f, [a, b])[0]
+    _, expected = fraction_window_measures(T, f, [a, a + width, b])
+    for ours, theirs in zip(cells, expected, strict=True):
+        assert ours == theirs and type(ours) is type(theirs)
